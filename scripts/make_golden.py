@@ -1,10 +1,14 @@
 """Regenerate the golden CLI reports under tests/golden/.
 
 Reports are deterministic apart from the timestamp field; tests compare
-against these files with the timestamp dropped.
+against these files with the timestamp dropped.  A golden file is rewritten
+only when its content apart from the timestamp changed, so regenerating
+leaves unchanged reports byte-identical.
 """
 
+import json
 import os
+import tempfile
 from pathlib import Path
 
 from latcayley.cli import main
@@ -25,6 +29,18 @@ CASES = {
         "--property",
         "level",
         "fixtures/ex19_cayley.json",
+    ],
+    "check_2cn_reeve.json": [
+        "check",
+        "--property",
+        "2cn",
+        "fixtures/reeve.json",
+    ],
+    "check_edge_criterion_simplex_2d.json": [
+        "check",
+        "--property",
+        "edge-criterion",
+        "fixtures/simplex_2d.json",
     ],
     "reproduce_example_1_9_3_1.json": [
         "reproduce",
@@ -50,13 +66,25 @@ CASES = {
 }
 
 
+def _without_timestamp(path: Path) -> dict:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.pop("timestamp", None)
+    return doc
+
+
 def run() -> None:
     os.chdir(ROOT)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in CASES.items():
-        out = GOLDEN / name
-        code = main(argv + ["--format", "json", "--out", str(out)])
-        print(f"{name}: exit {code}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES.items():
+            fresh, out = Path(tmp) / name, GOLDEN / name
+            code = main(argv + ["--out", str(fresh)])
+            if out.exists() and _without_timestamp(out) == _without_timestamp(fresh):
+                status = "unchanged"
+            else:
+                out.write_bytes(fresh.read_bytes())
+                status = "written"
+            print(f"{name}: exit {code}, {status}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ s * 1_000_003 + k, so reports are reproducible and independent of scheduling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .covering import has_interior_translate_cover, is_2_convex_normal
@@ -93,38 +93,14 @@ class CampaignReport:
                     "trial": v.trial,
                     "inputs": [[list(p) for p in poly] for poly in v.inputs],
                     "note": v.note,
-                    "report": None
-                    if v.report is None
-                    else {
-                        "property": v.report.property,
-                        "verdict": v.report.verdict.value,
-                        "witness": _jsonable(v.report.witness),
-                        "degrees_checked": list(v.report.degrees_checked)
-                        if v.report.degrees_checked
-                        else None,
-                        "horizon": v.report.horizon_used,
-                    },
+                    "report": None if v.report is None else v.report.to_dict(),
                 }
                 for v in self.violations
             ],
-            "config": {
-                "theorem_id": self.config.theorem_id,
-                "trials": self.config.trials,
-                "seed": self.config.seed,
-                "dim_max": self.config.dim_max,
-                "coord_bound": self.config.coord_bound,
-                "dilation_bound": self.config.dilation_bound,
-                "horizon": self.config.horizon,
-            },
+            "config": asdict(self.config),
             "version": self.version,
             "notes": list(self.notes),
         }
-
-
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(e) for e in x]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +151,10 @@ def _certified_2cn(rng: random.Random, config: CampaignConfig) -> LatticePolytop
     """
     d = rng.randint(1, 2)
     P = _poly2(rng, d, min(config.coord_bound, 2))
-    if is_2_convex_normal(P).covered:
+    if is_2_convex_normal(P).verdict is Verdict.HOLDS:
         return P
     Q = dilate(P, max(1, P.dim))
-    if is_2_convex_normal(Q).covered:
+    if is_2_convex_normal(Q).verdict is Verdict.HOLDS:
         return Q
     return None
 
@@ -189,7 +165,10 @@ def _certified_cond01(rng: random.Random, config: CampaignConfig) -> LatticePoly
     d = rng.randint(1, 2)
     P = _poly2(rng, d, min(config.coord_bound, 2))
     for cand in (P, dilate(P, P.dim + 1)):
-        if len(interior_lattice_points(cand)) and has_interior_translate_cover(cand).covered:
+        if (
+            len(interior_lattice_points(cand))
+            and has_interior_translate_cover(cand).verdict is Verdict.HOLDS
+        ):
             return cand
     return None
 
@@ -334,7 +313,7 @@ def _run_lemma_2_2(rng, config, trial, out):
         if n < 1:
             continue
         res = is_2_convex_normal(dilate(P, n))
-        if not res.covered:
+        if res.verdict is Verdict.FAILS:
             out.append(
                 Violation(
                     trial, _verts(P), f"dilate by {n} >= dim {d} not 2-convex-normal; "
@@ -369,7 +348,7 @@ def _run_prop_3_1(rng, config, trial, out):
         d = rng.randint(1, 2)
         cand = _poly2(rng, d, min(config.coord_bound, 2))
         for Q in (cand, dilate(cand, cand.dim + 1)):
-            if has_interior_translate_cover(Q).covered:
+            if has_interior_translate_cover(Q).verdict is Verdict.HOLDS:
                 P = Q
                 break
         if P is not None:
@@ -414,7 +393,7 @@ def _run_lemma_3_3(rng, config, trial, out):
         out.append(Violation(trial, _verts(P), f"dilate by {d+1} has no interior lattice point"))
         return
     res = has_interior_translate_cover(Q)
-    if not res.covered:
+    if res.verdict is Verdict.FAILS:
         out.append(
             Violation(
                 trial, _verts(P),

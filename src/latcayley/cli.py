@@ -37,15 +37,21 @@ from .properties import (
 )
 from .reproduce import EXAMPLE_NAMES, reproduce_example
 
-PROPERTIES = ("idp", "tuple-idp", "2cn", "cond01", "level", "gorenstein", "edge-criterion")
+# property name -> (number of polytope files, or None for any, decider).  The
+# deciders are looked up at call time, so rebinding a module attribute (as a
+# tracer does) reaches calls made through this table.
+CHECKS = {
+    "idp": (1, lambda Ps, a: is_idp(Ps[0], a.max_degree)),
+    "tuple-idp": (None, lambda Ps, a: is_tuple_idp(Ps)),
+    "2cn": (1, lambda Ps, a: is_2_convex_normal(Ps[0])),
+    "cond01": (1, lambda Ps, a: has_interior_translate_cover(Ps[0])),
+    "level": (1, lambda Ps, a: level_status(Ps[0], a.horizon)),
+    "gorenstein": (1, lambda Ps, a: is_gorenstein(Ps[0], a.horizon)),
+    "edge-criterion": (1, lambda Ps, a: edge_length_criterion(Ps[0])),
+}
 
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, tuple):
-        return [_jsonable(e) for e in x]
-    return x
+# the covering properties print their verdicts as covered / not-covered
+_COVER_WORDS = {Verdict.HOLDS.value: "covered", Verdict.FAILS.value: "not-covered"}
 
 
 def _pretty(x) -> str:
@@ -61,18 +67,13 @@ def _timestamp() -> str:
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    doc = dict(doc)
-    doc["version"] = __version__
+    text = json.dumps(
+        {**doc, "version": __version__, "timestamp": _timestamp()}, indent=2, sort_keys=True
+    )
     if getattr(args, "out", None):
-        stamped = dict(doc)
-        stamped["timestamp"] = _timestamp()
-        Path(args.out).write_text(
-            json.dumps(stamped, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     if getattr(args, "format", "text") == "json":
-        stamped = dict(doc)
-        stamped["timestamp"] = _timestamp()
-        print(json.dumps(stamped, indent=2, sort_keys=True))
+        print(text)
     else:
         for line in text_lines:
             print(line)
@@ -85,64 +86,31 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 def _run_check(args) -> int:
     Ps = [load_polytope(p) for p in args.paths]
     prop = args.property
-    if prop != "tuple-idp" and len(Ps) != 1:
+    files, decide = CHECKS[prop]
+    if files is not None and len(Ps) != files:
         raise UsageError(f"property {prop} takes exactly one polytope file")
-    config = {
+    rep = decide(Ps, args)
+    doc = rep.to_dict()
+    if prop in ("2cn", "cond01"):
+        doc["verdict"] = _COVER_WORDS[doc["verdict"]]
+    doc["config"] = {
         "paths": list(args.paths),
         "property": prop,
         "max_degree": args.max_degree,
         "horizon": args.horizon,
     }
-    witness = None
-    degrees = None
-    horizon = None
-    if prop == "idp":
-        rep = is_idp(Ps[0], args.max_degree)
-        verdict, witness, degrees = rep.verdict.value, rep.witness, rep.degrees_checked
-    elif prop == "tuple-idp":
-        rep = is_tuple_idp(Ps)
-        verdict, witness, degrees = rep.verdict.value, rep.witness, rep.degrees_checked
-    elif prop == "level":
-        rep = level_status(Ps[0], args.horizon)
-        verdict, witness, degrees = rep.verdict.value, rep.witness, rep.degrees_checked
-        horizon = rep.horizon_used
-    elif prop == "gorenstein":
-        rep = is_gorenstein(Ps[0], args.horizon)
-        verdict, witness, degrees = rep.verdict.value, rep.witness, rep.degrees_checked
-        horizon = rep.horizon_used
-    elif prop == "edge-criterion":
-        ok = edge_length_criterion(Ps[0])
-        verdict = Verdict.HOLDS.value if ok else Verdict.FAILS.value
-    elif prop == "2cn":
-        res = is_2_convex_normal(Ps[0])
-        verdict = "covered" if res.covered else "not-covered"
-        witness = res.witness
-    elif prop == "cond01":
-        res = has_interior_translate_cover(Ps[0])
-        verdict = "covered" if res.covered else "not-covered"
-        witness = res.witness
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown property {prop}")
-
-    doc = {
-        "property": prop,
-        "verdict": verdict,
-        "witness": _jsonable(witness),
-        "degrees_checked": list(degrees) if degrees else None,
-        "horizon": horizon,
-        "config": config,
-    }
-    lines = [f"property: {prop}", f"verdict: {verdict}"]
-    if witness is not None:
-        lines.append(f"witness: {_pretty(witness)}")
+    lines = [f"property: {prop}", f"verdict: {doc['verdict']}"]
+    if rep.witness is not None:
+        lines.append(f"witness: {_pretty(rep.witness)}")
+    degrees = rep.degrees_checked
     if degrees is not None:
         lines.append(f"degrees checked: {degrees[0]}..{degrees[1]}")
         if prop in ("level", "gorenstein"):
             lines.append(f"level index: {degrees[0]}")
-    if horizon is not None:
-        lines.append(f"horizon: {horizon}")
+    if rep.horizon_used is not None:
+        lines.append(f"horizon: {rep.horizon_used}")
     _emit(args, doc, lines)
-    return 0 if verdict in ("Holds", "VerifiedUpToHorizon", "covered") else 1
+    return 1 if rep.verdict is Verdict.FAILS else 0
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +152,6 @@ def _run_random(args) -> int:
 # reproduce / verify
 
 
-def _campaign_doc(rep: CampaignReport) -> dict:
-    doc = rep.to_dict()
-    return doc
-
-
 def _campaign_lines(rep: CampaignReport) -> list[str]:
     lines = [
         f"campaign: {rep.theorem_id}",
@@ -207,7 +170,7 @@ def _campaign_lines(rep: CampaignReport) -> list[str]:
 def _run_reproduce(args) -> int:
     params = tuple(args.params) if args.params else None
     rep = reproduce_example(args.name, params)
-    _emit(args, _campaign_doc(rep), _campaign_lines(rep))
+    _emit(args, rep.to_dict(), _campaign_lines(rep))
     return 0 if rep.ok else 1
 
 
@@ -222,7 +185,7 @@ def _run_verify(args) -> int:
         horizon=args.horizon,
     )
     rep = verify_theorem(config)
-    _emit(args, _campaign_doc(rep), _campaign_lines(rep))
+    _emit(args, rep.to_dict(), _campaign_lines(rep))
     return 0 if rep.ok else 1
 
 
@@ -252,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="decide a property of polytope files")
     c.add_argument("paths", nargs="+", metavar="POLYTOPE.json")
-    c.add_argument("--property", required=True, choices=PROPERTIES)
+    c.add_argument("--property", required=True, choices=CHECKS)
     c.add_argument("--max-degree", type=int, default=None)
     c.add_argument("--horizon", type=int, default=None)
     _add_io_flags(c)

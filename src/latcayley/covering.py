@@ -8,17 +8,18 @@ closed and the relative-interior mode.  ``covers_by_sampling`` classifies one
 sample per arrangement cell and is used to cross-check the subtraction route
 on small inputs.
 
-Witness convention: when the target region contains an uncovered lattice
-point, the lexicographically smallest one is reported; otherwise an uncovered
-piece barycenter found in deterministic subtraction order is used.  The
-sampling route reports the lexicographically smallest uncovered sample.
+Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
+or Fails (not covered); the witness of a failure is an uncovered point.  When
+the target region contains an uncovered lattice point, the lexicographically
+smallest one is reported; otherwise an uncovered piece barycenter found in
+deterministic subtraction order is used.  The sampling route reports the
+lexicographically smallest uncovered sample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -35,6 +36,7 @@ from .geometry import (
     _cut_piece,
     _Piece,
     arrangement_sample_points,
+    barycenter,
     cell_budget,
     contains,
     dot,
@@ -49,6 +51,7 @@ from .polytope import (
     interior_lattice_points,
     lattice_points,
 )
+from .properties import PropertyReport, Verdict
 
 
 @dataclass(frozen=True)
@@ -64,12 +67,6 @@ class CoverageQuery:
             raise DimensionMismatch("target, translate_base and translations must share an ambient dimension")
         if len(self.translations) == 0:
             raise GeometryError("translation set must be nonempty")
-
-
-@dataclass(frozen=True)
-class CoverageResult:
-    covered: bool
-    witness: Vec | None
 
 
 # ---------------------------------------------------------------------------
@@ -145,15 +142,6 @@ def _piece_dim(piece: _Piece) -> int:
     return rank([vec_sub(v, base) for v in piece.vertices[1:]])
 
 
-def _barycenter(piece: _Piece) -> Vec:
-    k = len(piece.vertices)
-    n = len(piece.vertices[0])
-    return tuple(
-        norm_scalar(Fraction(sum(Fraction(v[i]) for v in piece.vertices), 1) / k)
-        for i in range(n)
-    )
-
-
 def _carve_step(
     piece: _Piece, normal: IntVec, offset: Scalar, keep_tight: bool
 ) -> tuple[_Piece | None, _Piece | None]:
@@ -207,11 +195,12 @@ def _subtract_branches(piece: _Piece, tr: _Translate, mode: Mode) -> list[_Piece
 def _on_target_boundary(piece: _Piece, target: DualDescription) -> bool:
     # a piece inside the target sits in the boundary iff a facet hyperplane
     # contains it, iff its barycenter (a relative interior point) does
-    b = _barycenter(piece)
+    b = barycenter(piece.vertices)
     return any(dot(normal, b) == c for normal, c in target.facets)
 
 
-def _decide_by_subtraction(q: CoverageQuery) -> tuple[bool, Vec | None]:
+def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
+    """An uncovered piece barycenter, or None when the translates cover."""
     target = q.target.desc
     base = q.translate_base.desc
     translates = _classify_translates(q)
@@ -233,18 +222,18 @@ def _decide_by_subtraction(q: CoverageQuery) -> tuple[bool, Vec | None]:
             continue
         if not closed and _on_target_boundary(piece, target):
             continue
-        b = _barycenter(piece)
+        b = barycenter(piece.vertices)
         pick = None
         for idx in remaining:
             if translates[idx].contains_point(b, base, q.mode):
                 pick = idx
                 break
         if pick is None:
-            return False, b
+            return b
         rem = tuple(i for i in remaining if i != pick)
         for branch in reversed(_subtract_branches(piece, translates[pick], q.mode)):
             stack.append((branch, rem))
-    return True, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +263,11 @@ def _verify_witness(q: CoverageQuery, w: Vec) -> None:
         )
 
 
-def covers(q: CoverageQuery) -> CoverageResult:
+def _coverage_report(witness: Vec | None) -> PropertyReport:
+    return PropertyReport("covers", Verdict.HOLDS if witness is None else Verdict.FAILS, witness)
+
+
+def covers(q: CoverageQuery) -> PropertyReport:
     """Decide whether the translates of translate_base cover the target region.
 
     Closed mode asks whether the target is a union of closed translates;
@@ -283,17 +276,14 @@ def covers(q: CoverageQuery) -> CoverageResult:
     convention and are re-verified by direct membership before returning.
     """
     w = _lattice_witness(q)
+    if w is None:
+        w = _decide_by_subtraction(q)
     if w is not None:
         _verify_witness(q, w)
-        return CoverageResult(False, w)
-    covered, sample = _decide_by_subtraction(q)
-    if covered:
-        return CoverageResult(True, None)
-    _verify_witness(q, sample)
-    return CoverageResult(False, sample)
+    return _coverage_report(w)
 
 
-def covers_by_sampling(q: CoverageQuery) -> CoverageResult:
+def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
     """Arrangement-cell sampling decider (cross-check route).
 
     Every facet hyperplane of every translate is thrown into an arrangement
@@ -324,19 +314,17 @@ def covers_by_sampling(q: CoverageQuery) -> CoverageResult:
         if contains(target, s, q.mode)
         and not any(contains(base, vec_sub(s, t), q.mode) for t in shifts)
     ]
-    if not uncovered:
-        return CoverageResult(True, None)
-    return CoverageResult(False, min(uncovered))
+    return _coverage_report(min(uncovered) if uncovered else None)
 
 
-def is_2_convex_normal(P: LatticePolytope) -> CoverageResult:
+def is_2_convex_normal(P: LatticePolytope) -> PropertyReport:
     """Is 2P the union of the translates {t + P : t a lattice point of P}?"""
     pts = lattice_points(P)
     q = CoverageQuery(target=dilate(P, 2), translate_base=P, translations=pts, mode=Mode.CLOSED)
-    return covers(q)
+    return replace(covers(q), property="2cn")
 
 
-def has_interior_translate_cover(P: LatticePolytope) -> CoverageResult:
+def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     """Is relint(2P) the union of the translates {t + relint(P)}?
 
     The reverse inclusion, every translate sitting inside relint(2P), is an
@@ -345,11 +333,11 @@ def has_interior_translate_cover(P: LatticePolytope) -> CoverageResult:
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
-    center = P.desc.barycenter()
+    center = barycenter(P.desc.vertices)
     for t in pts:
         shifted = tuple(norm_scalar(c + x) for c, x in zip(center, t))
         assert contains(two.desc, shifted, Mode.RELATIVE_INTERIOR), (
             "interior translate escaped relint(2P); this indicates a geometry bug"
         )
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
-    return covers(q)
+    return replace(covers(q), property="cond01")

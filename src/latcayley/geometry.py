@@ -85,6 +85,12 @@ def vec_scale(c: Scalar, a: Vec) -> Vec:
     return tuple(norm_scalar(c * x) for x in a)
 
 
+def barycenter(points) -> Vec:
+    """Exact average of a nonempty list of equal-length points."""
+    k = len(points)
+    return tuple(norm_scalar(Fraction(sum(c), k)) for c in zip(*points))
+
+
 def is_integer_vec(v: Vec) -> bool:
     return all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in v)
 
@@ -238,13 +244,6 @@ class DualDescription:
     @property
     def is_lattice(self) -> bool:
         return all(is_integer_vec(v) for v in self.vertices)
-
-    def barycenter(self) -> Vec:
-        k = len(self.vertices)
-        return tuple(
-            norm_scalar(Fraction(sum(v[i] for v in self.vertices), k))
-            for i in range(self.ambient_dim)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -459,28 +458,6 @@ def _faces(piece: _Piece) -> list[frozenset[int]]:
     return out
 
 
-def _face_barycenter(piece: _Piece, face: frozenset[int]) -> Vec:
-    k = len(face)
-    return tuple(
-        norm_scalar(Fraction(sum(as_fraction(piece.vertices[i][c]) for i in face), 1) / k)
-        for c in range(len(piece.vertices[0]))
-    )
-
-
-def _subdivide(within: DualDescription, hyperplanes) -> list[_Piece]:
-    pieces = [_Piece(within.vertices, within.facets)]
-    for h in hyperplanes:
-        nxt: list[_Piece] = []
-        for piece in pieces:
-            neg, pos = _cut_piece(piece, h.normal, h.offset)
-            if neg is not None:
-                nxt.append(neg)
-            if pos is not None:
-                nxt.append(pos)
-        pieces = nxt
-    return pieces
-
-
 def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]:
     """One exact rational sample in the relative interior of every cell.
 
@@ -528,5 +505,5 @@ def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]
                     f"arrangement produced more than {budget} candidate cells; "
                     f"raise {CELL_BUDGET_ENV} to allow more"
                 )
-            samples[_face_barycenter(piece, face)] = None
+            samples[barycenter([piece.vertices[i] for i in face])] = None
     return sorted(samples)

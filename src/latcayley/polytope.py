@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .geometry import (
     DimensionMismatch,
@@ -22,15 +21,12 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     IntVec,
-    Mode,
-    Scalar,
-    Vec,
-    contains,
+    _piece_edges,
+    _tight_masks,
     convex_hull,
     dot,
     is_integer_vec,
     norm_scalar,
-    primitive,
     vec_add,
 )
 
@@ -170,21 +166,14 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
-def _floor_div(p: int, q: int) -> int:
-    return p // q
-
-
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
 def _reduce_row(coeffs: list[int], rhs: int) -> tuple[IntVec, int] | None:
-    g = math.gcd(*coeffs, rhs) if any(coeffs) or rhs else 0
-    if g == 0:
-        return None
     if not any(coeffs):
         return None  # 0 <= rhs rows carry no bound; infeasible rows caught at leaves
-    g = math.gcd(*(abs(c) for c in coeffs if c), abs(rhs)) if rhs else math.gcd(*(abs(c) for c in coeffs if c))
+    g = math.gcd(*coeffs, rhs)
     return tuple(c // g for c in coeffs), rhs // g
 
 
@@ -265,7 +254,7 @@ def _integer_points(desc: DualDescription, strict: bool) -> list[IntVec]:
             acc = rhs - sum(coeffs[i] * prefix[i] for i in range(j))
             cj = coeffs[j]
             if cj > 0:
-                hi = min(hi, _floor_div(acc, cj))
+                hi = min(hi, acc // cj)
             else:
                 lo = max(lo, _ceil_div(acc, cj))
             if lo > hi:
@@ -299,22 +288,10 @@ def edges(P: LatticePolytope) -> list[Edge]:
     if P.dim == 0:
         return []
     verts = P.vertices
-    d = P.desc
-    masks = []
-    for v in verts:
-        m = 0
-        for k, (normal, c) in enumerate(d.facets):
-            if dot(normal, v) == c:
-                m |= 1 << k
-        masks.append(m)
-    out = []
-    nv = len(verts)
-    for i, j in combinations(range(nv), 2):
-        t = masks[i] & masks[j]
-        if any(k != i and k != j and (masks[k] & t) == t for k in range(nv)):
-            continue
-        diff = [abs(a - b) for a, b in zip(verts[i], verts[j])]
-        out.append(Edge((verts[i], verts[j]), math.gcd(*diff)))
+    out = [
+        Edge((verts[i], verts[j]), math.gcd(*(a - b for a, b in zip(verts[i], verts[j]))))
+        for i, j in _piece_edges(verts, _tight_masks(verts, P.desc.facets))
+    ]
     return sorted(out, key=lambda e: e.endpoints)
 
 

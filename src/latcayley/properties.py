@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .geometry import DimensionMismatch, GeometryError, IntVec, Mode, contains
@@ -36,25 +37,46 @@ class Verdict(enum.Enum):
     VERIFIED_UP_TO_HORIZON = "VerifiedUpToHorizon"
 
 
+def _jsonable(x):
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, tuple):
+        return [_jsonable(e) for e in x]
+    return x
+
+
 @dataclass(frozen=True)
 class PropertyReport:
-    """Outcome of one property check.
+    """Outcome of one property check; every decider in the toolkit returns one.
 
-    ``witness`` is None unless the verdict is Fails; then it is a pair of the
-    failing degree (for tuple checks, the failing index subset) and a lattice
-    point lying in the left-hand set but not in the right-hand set of the
-    defining equality.  ``degrees_checked`` is the inclusive range scanned.
+    ``witness`` is None unless the verdict is Fails.  For the decomposition
+    checks it is a pair of the failing degree (for tuple checks, the failing
+    index subset) and a lattice point lying in the left-hand set but not in the
+    right-hand set of the defining equality; for the covering checks it is the
+    uncovered point; for the edge criterion it is the pair (lattice length,
+    endpoints) of the first short edge.  ``degrees_checked`` is the inclusive
+    range scanned.
     """
 
     property: str
     verdict: Verdict
-    witness: tuple[object, IntVec] | None = None
+    witness: object = None
     degrees_checked: tuple[int, int] | None = None
     horizon_used: int | None = None
 
     def __post_init__(self) -> None:
         if (self.verdict is Verdict.FAILS) != (self.witness is not None):
             raise ValueError("witness must be present exactly when the verdict is Fails")
+
+    def to_dict(self) -> dict:
+        """JSON form; Fraction coordinates become "p/q" strings."""
+        return {
+            "property": self.property,
+            "verdict": self.verdict.value,
+            "witness": _jsonable(self.witness),
+            "degrees_checked": list(self.degrees_checked) if self.degrees_checked else None,
+            "horizon": self.horizon_used,
+        }
 
 
 @dataclass(frozen=True)
@@ -157,7 +179,10 @@ def level_status(P: LatticePolytope, horizon: int | None = None) -> PropertyRepo
     horizon recorded.  The containment of the sum in int(nP) is an identity
     and is asserted rather than searched.
     """
-    data = level_index(P)
+    return _level_scan(P, level_index(P), horizon)
+
+
+def _level_scan(P: LatticePolytope, data: LevelData, horizon: int | None) -> PropertyReport:
     r = data.index_r
     H = horizon if horizon is not None else r + P.dim + 2
     if H < r:
@@ -186,37 +211,32 @@ def is_gorenstein(P: LatticePolytope, horizon: int | None = None) -> PropertyRep
     check that survives the horizon but has several generators fails with the
     second-smallest generator as the witness of non-uniqueness.
     """
-    level = level_status(P, horizon)
-    if level.verdict is Verdict.FAILS:
-        return PropertyReport(
-            "gorenstein", Verdict.FAILS, level.witness, level.degrees_checked, level.horizon_used
-        )
     data = level_index(P)
-    if len(data.interior_generators) != 1:
-        w = data.interior_generators.points[1]
-        return PropertyReport(
-            "gorenstein",
-            Verdict.FAILS,
-            (data.index_r, w),
-            level.degrees_checked,
-            level.horizon_used,
-        )
+    level = _level_scan(P, data, horizon)
+    if level.verdict is Verdict.FAILS:
+        witness = level.witness
+    elif len(data.interior_generators) != 1:
+        witness = (data.index_r, data.interior_generators.points[1])
+    else:
+        witness = None
+    verdict = Verdict.VERIFIED_UP_TO_HORIZON if witness is None else Verdict.FAILS
     return PropertyReport(
-        "gorenstein",
-        Verdict.VERIFIED_UP_TO_HORIZON,
-        None,
-        level.degrees_checked,
-        level.horizon_used,
+        "gorenstein", verdict, witness, level.degrees_checked, level.horizon_used
     )
 
 
-def edge_length_criterion(P: LatticePolytope) -> bool:
+def edge_length_criterion(P: LatticePolytope) -> PropertyReport:
     """Does every edge have lattice length at least 2*d*(d+1)?
 
-    A sufficient condition for 2-convex-normality.  Undefined for points.
+    A sufficient condition for 2-convex-normality.  Undefined for points.  The
+    witness of a failure is (lattice length, endpoints) of the first short
+    edge in ``edges`` order.
     """
     d = P.dim
     if d == 0:
         raise GeometryError("edge length criterion needs dimension at least 1")
     threshold = 2 * d * (d + 1)
-    return all(e.lattice_length >= threshold for e in edges(P))
+    for e in edges(P):
+        if e.lattice_length < threshold:
+            return PropertyReport("edge-criterion", Verdict.FAILS, (e.lattice_length, e.endpoints))
+    return PropertyReport("edge-criterion", Verdict.HOLDS)

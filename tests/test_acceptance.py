@@ -38,7 +38,7 @@ from latcayley import (
     translate,
     verify_theorem,
 )
-from latcayley.geometry import norm_scalar
+from latcayley.geometry import barycenter, norm_scalar
 
 from conftest import all_fixture_names, load_fixture
 
@@ -131,12 +131,12 @@ def test_criterion_3_nonnormal_simplex_dilation_ladder(capsys):
     assert idp.verdict is Verdict.FAILS
     assert idp.witness == (2, (1, 1, 1))
     cover = is_2_convex_normal(R)
-    assert not cover.covered
+    assert cover.verdict is Verdict.FAILS
     assert cover.witness == (1, 1, 1)
     assert is_idp(dilate(R, 2)).verdict is Verdict.HOLDS
-    assert is_2_convex_normal(dilate(R, 3)).covered
+    assert is_2_convex_normal(dilate(R, 3)).verdict is Verdict.HOLDS
     four = dilate(R, 4)
-    assert has_interior_translate_cover(four).covered
+    assert has_interior_translate_cover(four).verdict is Verdict.HOLDS
     assert level_index(four).index_r == 1
     announce(capsys, 3, True, f"simplex fails, dilates 2/3/4 recover, {time.perf_counter() - t0:.2f}s")
 
@@ -209,8 +209,8 @@ def suite_checks(P):
     if len(pts.points) > 1:
         half = PointSet(n, pts.points[: len(pts.points) // 2])
         partial = covers(CoverageQuery(two, P, half, Mode.CLOSED))
-        assert not (partial.covered and not full.covered)
-    if not full.covered:
+        assert not (partial.verdict is Verdict.HOLDS and full.verdict is Verdict.FAILS)
+    if full.verdict is Verdict.FAILS:
         w = full.witness
         assert contains(two.desc, w, Mode.CLOSED)
         for t in pts.points:
@@ -219,7 +219,7 @@ def suite_checks(P):
 
     # relative interior membership implies closed membership
     for Q in (P, two):
-        center = Q.desc.barycenter()
+        center = barycenter(Q.desc.vertices)
         assert contains(Q.desc, center, Mode.RELATIVE_INTERIOR)
         assert contains(Q.desc, center, Mode.CLOSED)
     assert set(interior_lattice_points(P).points) <= set(pts.points)

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from latcayley import (
     CellBudgetExceeded,
     CoverageQuery,
-    CoverageResult,
     DimensionMismatch,
     GeometryError,
     PointSet,
+    PropertyReport,
+    Verdict,
     covers,
     covers_by_sampling,
     dilate,
@@ -41,7 +42,7 @@ def query(target, base, shifts, mode=Mode.CLOSED):
     )
 
 
-def assert_witness_sound(q: CoverageQuery, res: CoverageResult):
+def assert_witness_sound(q: CoverageQuery, res: PropertyReport):
     """Independent membership re-check of a not-covered witness."""
     assert res.witness is not None
     tmode = Mode.RELATIVE_INTERIOR if q.mode is Mode.RELATIVE_INTERIOR else Mode.CLOSED
@@ -57,21 +58,21 @@ def assert_witness_sound(q: CoverageQuery, res: CoverageResult):
 
 def test_closed_chain_of_segments():
     q = query(P((0,), (2,)), P((0,), (1,)), [(0,), (1,)])
-    assert covers(q).covered
-    assert covers_by_sampling(q).covered
+    assert covers(q).verdict is Verdict.HOLDS
+    assert covers_by_sampling(q).verdict is Verdict.HOLDS
 
 
 def test_closed_chain_with_gap():
     q = query(P((0,), (3,)), P((0,), (1,)), [(0,), (2,)])
     res = covers(q)
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert_witness_sound(q, res)
 
 
 def test_double_reeve_uncovered_at_center(reeve):
     q = query(dilate(reeve, 2), reeve, lattice_points(reeve).points)
     res = covers(q)
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert res.witness == (1, 1, 1)
     assert_witness_sound(q, res)
 
@@ -84,43 +85,43 @@ def test_relint_double_square_pinched_at_center(unit_square):
         Mode.RELATIVE_INTERIOR,
     )
     res = covers(q)
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert res.witness == (1, 1)
     assert_witness_sound(q, res)
 
 
 def test_cond01_unit_segment_misses_midpoint():
     res = has_interior_translate_cover(P((0,), (1,)))
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert res.witness == (1,)
 
 
 def test_cond01_double_segment_holds():
-    assert has_interior_translate_cover(P((0,), (2,))).covered
+    assert has_interior_translate_cover(P((0,), (2,))).verdict is Verdict.HOLDS
 
 
 def test_cond01_double_square_holds(unit_square):
-    assert has_interior_translate_cover(dilate(unit_square, 2)).covered
+    assert has_interior_translate_cover(dilate(unit_square, 2)).verdict is Verdict.HOLDS
 
 
 def test_2cn_unit_square(unit_square):
-    assert is_2_convex_normal(unit_square).covered
+    assert is_2_convex_normal(unit_square).verdict is Verdict.HOLDS
 
 
 def test_2cn_reeve_witness(reeve):
     res = is_2_convex_normal(reeve)
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert res.witness == (1, 1, 1)
 
 
 def test_2cn_triple_reeve_covered(reeve):
-    assert is_2_convex_normal(dilate(reeve, 3)).covered
+    assert is_2_convex_normal(dilate(reeve, 3)).verdict is Verdict.HOLDS
 
 
 def test_standard_triangle_not_2cn(simplex_2d):
     # 2T keeps a corner sliver beyond every lattice translate of T
     res = is_2_convex_normal(simplex_2d)
-    assert not res.covered
+    assert res.verdict is Verdict.FAILS
     assert_witness_sound(
         query(dilate(simplex_2d, 2), simplex_2d, lattice_points(simplex_2d).points), res
     )
@@ -202,8 +203,8 @@ def test_subtraction_agrees_with_sampling(mode):
             continue
         a = covers(q)
         b = covers_by_sampling(q)
-        assert a.covered == b.covered, q
-        if not a.covered:
+        assert a.verdict is b.verdict, q
+        if a.verdict is Verdict.FAILS:
             assert_witness_sound(q, a)
             assert_witness_sound(q, b)
         checked += 1
@@ -217,7 +218,7 @@ def test_closed_failure_has_full_dimensional_cell(reeve):
     from latcayley.geometry import Hyperplane
 
     q = query(dilate(reeve, 2), reeve, lattice_points(reeve).points)
-    assert not covers_by_sampling(q).covered
+    assert covers_by_sampling(q).verdict is Verdict.FAILS
     planes = []
     shifted = [translate(q.translate_base, t) for t in q.translations.points]
     for S in shifted:
@@ -259,8 +260,8 @@ def test_covering_monotone_in_translations(seed, data):
     big = small + [p for p in pool if p not in small][:extra]
     q_small = query(target, base, small)
     q_big = query(target, base, big)
-    if covers(q_small).covered:
-        assert covers(q_big).covered
+    if covers(q_small).verdict is Verdict.HOLDS:
+        assert covers(q_big).verdict is Verdict.HOLDS
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,8 +271,8 @@ def test_relint_cover_implies_closed_cover(seed):
     base = _random_polytope(rng, rng.choice([1, 2]))
     target = dilate(base, 2)
     shifts = lattice_points(base).points
-    if covers(query(target, base, shifts, Mode.RELATIVE_INTERIOR)).covered:
-        assert covers(query(target, base, shifts, Mode.CLOSED)).covered
+    if covers(query(target, base, shifts, Mode.RELATIVE_INTERIOR)).verdict is Verdict.HOLDS:
+        assert covers(query(target, base, shifts, Mode.CLOSED)).verdict is Verdict.HOLDS
 
 
 @settings(max_examples=15, deadline=None)
@@ -279,7 +280,7 @@ def test_relint_cover_implies_closed_cover(seed):
 def test_dilates_are_2_convex_normal_at_dimension(seed, dim):
     P_ = random_lattice_polytope(seed, dim, dim, coord_bound=2)
     for n in range(dim, dim + 3):
-        assert is_2_convex_normal(dilate(P_, n)).covered
+        assert is_2_convex_normal(dilate(P_, n)).verdict is Verdict.HOLDS
 
 
 @settings(max_examples=15, deadline=None)
@@ -288,4 +289,4 @@ def test_dilate_past_dimension_gets_interior_cover(seed, dim):
     P_ = random_lattice_polytope(seed, dim, dim, coord_bound=2)
     Q = dilate(P_, dim + 1)
     assert interior_lattice_points(Q).points
-    assert has_interior_translate_cover(Q).covered
+    assert has_interior_translate_cover(Q).verdict is Verdict.HOLDS

@@ -18,10 +18,10 @@ from latcayley import (
     verify_theorem,
 )
 from latcayley.campaigns import THEOREM_IDS
-from latcayley.cli import main
+from latcayley.cli import CHECKS, main
 from latcayley.reproduce import EXAMPLE_NAMES
 
-from conftest import FIXTURES, GOLDEN, load_fixture, read_json
+from conftest import FIXTURES, GOLDEN, all_fixture_names, load_fixture, read_json
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,27 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("prop", list(CHECKS))
+def test_cli_check_witness_exactly_on_failure(prop, tmp_path, capsys):
+    # the fixtures plus one polytope whose edges are all long enough for the
+    # edge criterion, so every property meets both outcomes
+    long_edges = tmp_path / "simplex_2d_x12.json"
+    save_polytope(dilate(load_fixture("simplex_2d"), 12), long_edges)
+    inputs = [[fixture_arg(name)] for name in all_fixture_names()] + [[str(long_edges)]]
+    if CHECKS[prop][0] is None:
+        inputs += [[fixture_arg(f"{ex}_p1"), fixture_arg(f"{ex}_p2")] for ex in ("ex19", "ex24")]
+    failures = 0
+    for paths in inputs:
+        code = main(["check", *paths, "--property", prop, "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        failed = doc["verdict"] in ("Fails", "not-covered")
+        failures += failed
+        assert doc["property"] == prop
+        assert (doc["witness"] is not None) == failed, (paths, doc)
+        assert code == (1 if failed else 0), (paths, doc)
+    assert 0 < failures < len(inputs)
+
+
 def test_cli_check_json_format(capsys):
     assert main([
         "check", "--property", "idp", fixture_arg("unit_square"), "--format", "json",
@@ -294,6 +315,7 @@ def test_cli_report_deterministic_apart_from_timestamp(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["check", "--property", "gorenstein", fixture_arg("unit_square")]
     main(argv + ["--out", str(a)])
-    main(argv + ["--out", str(b)])
     capsys.readouterr()
+    main(argv + ["--out", str(b), "--format", "json"])
+    assert capsys.readouterr().out == b.read_text(encoding="utf-8")
     assert without_timestamp(read_json(a)) == without_timestamp(read_json(b))

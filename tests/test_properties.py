@@ -1,5 +1,7 @@
 """Property deciders: IDP, tuple-IDP, level, Gorenstein, edge criterion."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from latcayley import (
     cayley_sum,
     dilate,
     edge_length_criterion,
+    edges,
     from_vertices,
     interior_lattice_points,
     is_2_convex_normal,
@@ -207,9 +210,27 @@ def test_gorenstein_passes_level_failure_through():
 
 def test_edge_criterion_threshold():
     # threshold for dim 2 is 2*2*3 = 12
-    assert edge_length_criterion(dilate(P((0, 0), (1, 0), (0, 1)), 12))
-    assert not edge_length_criterion(dilate(P((0, 0), (1, 0), (0, 1)), 11))
-    assert not edge_length_criterion(P((0, 0), (1, 0), (0, 1)))
+    assert edge_length_criterion(dilate(P((0, 0), (1, 0), (0, 1)), 12)).verdict is Verdict.HOLDS
+    assert edge_length_criterion(dilate(P((0, 0), (1, 0), (0, 1)), 11)).verdict is Verdict.FAILS
+    assert edge_length_criterion(P((0, 0), (1, 0), (0, 1))).verdict is Verdict.FAILS
+
+
+@pytest.mark.parametrize("verts, factor", [
+    (((0, 0), (1, 0), (0, 1)), 11),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)), 3),
+    (((0,), (1,)), 3),
+])
+def test_edge_criterion_witness_is_first_short_edge(verts, factor):
+    Q = dilate(from_vertices(verts), factor)
+    rep = edge_length_criterion(Q)
+    assert rep.verdict is Verdict.FAILS
+    length, endpoints = rep.witness
+    threshold = 2 * Q.dim * (Q.dim + 1)
+    assert length < threshold
+    short = [e for e in edges(Q) if e.lattice_length < threshold]
+    assert (short[0].lattice_length, short[0].endpoints) == (length, endpoints)
+    a, b = endpoints
+    assert math.gcd(*(x - y for x, y in zip(a, b))) == length
 
 
 def test_edge_criterion_rejects_points():
@@ -219,7 +240,7 @@ def test_edge_criterion_rejects_points():
 
 def test_edge_criterion_implies_idp():
     Q = dilate(P((0, 0), (1, 0), (0, 1)), 12)
-    assert edge_length_criterion(Q)
+    assert edge_length_criterion(Q).verdict is Verdict.HOLDS
     assert is_idp(Q).verdict is Verdict.HOLDS
 
 
@@ -229,8 +250,8 @@ def test_edge_criterion_implies_idp():
 ])
 def test_edge_criterion_implies_2_convex_normal(verts, factor):
     Q = dilate(from_vertices(verts), factor)
-    assert edge_length_criterion(Q)
-    assert is_2_convex_normal(Q).covered
+    assert edge_length_criterion(Q).verdict is Verdict.HOLDS
+    assert is_2_convex_normal(Q).verdict is Verdict.HOLDS
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,7 @@ def test_dilate_past_dim_is_level_of_index_one(seed, d):
 def test_minkowski_of_2_convex_normal_pair_is_idp(s1, s2):
     Qs = [dilate(rand(s1, 2, bound=2), 2), dilate(rand(s2, 2, bound=2), 2)]
     for Q in Qs:
-        assert is_2_convex_normal(Q).covered
+        assert is_2_convex_normal(Q).verdict is Verdict.HOLDS
     assert is_idp(minkowski_sum(Qs)).verdict is Verdict.HOLDS
 
 
@@ -77,7 +77,7 @@ def test_cayley_of_2_convex_normal_pair_idp_iff_tuple_idp(s1, s2):
 def test_interior_translate_cover_implies_level(seed, d):
     Q = dilate(rand(seed, d, bound=2), d + 1)
     assert interior_lattice_points(Q).points
-    assert has_interior_translate_cover(Q).covered
+    assert has_interior_translate_cover(Q).verdict is Verdict.HOLDS
     assert level_status(Q).verdict is Verdict.VERIFIED_UP_TO_HORIZON
 
 
@@ -86,7 +86,7 @@ def test_interior_translate_cover_implies_level(seed, d):
 def test_level_indices_of_sums_of_fattened_segments(s1, s2):
     Qs = [dilate(rand(s1, 1), 2), dilate(rand(s2, 1), 2)]
     for Q in Qs:
-        assert has_interior_translate_cover(Q).covered
+        assert has_interior_translate_cover(Q).verdict is Verdict.HOLDS
     mink = level_status(minkowski_sum(Qs))
     assert mink.verdict is Verdict.VERIFIED_UP_TO_HORIZON
     assert mink.degrees_checked[0] == 1
@@ -124,8 +124,8 @@ def test_dilate_lattice_points_contain_iterated_set_sums(seed, n):
 def test_covering_deciders_are_translation_invariant(seed, d):
     P = rand(seed, d, bound=2)
     moved = translate(P, (5, -7, 3)[:d])
-    assert is_2_convex_normal(P).covered == is_2_convex_normal(moved).covered
+    assert is_2_convex_normal(P).verdict is is_2_convex_normal(moved).verdict
     assert (
-        has_interior_translate_cover(P).covered
-        == has_interior_translate_cover(moved).covered
+        has_interior_translate_cover(P).verdict
+        == has_interior_translate_cover(moved).verdict
     )
