@@ -216,8 +216,9 @@ def _heights(m: int, total: int, positive: bool):
 def _run_lemma_1_1(rng, config, trial, out):
     m = rng.randint(2, 3)
     Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(m)]
+    C = cayley_sum(Ps)
     for a in _heights(m, config.dilation_bound, positive=False):
-        got = cayley_slice(Ps, a)
+        got = cayley_slice(C, a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
         want = PointSet(got.ambient_dim, tuple(a + p for p in lattice_points(mink)))
         if got.points != want.points:

@@ -58,7 +58,8 @@ def _pretty(x) -> str:
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, tuple):
-        return "(" + ", ".join(_pretty(e) for e in x) + ")"
+        inner = ", ".join(_pretty(e) for e in x)
+        return f"({inner},)" if len(x) == 1 else f"({inner})"
     return str(x)
 
 

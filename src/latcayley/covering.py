@@ -51,7 +51,7 @@ from .polytope import (
     interior_lattice_points,
     lattice_points,
 )
-from .properties import PropertyReport, Verdict
+from .properties import PropertyReport, Verdict, point_set_sum
 
 
 @dataclass(frozen=True)
@@ -240,19 +240,12 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
 # public deciders
 
 
-def _region_lattice_points(q: CoverageQuery) -> PointSet:
-    if q.mode is Mode.CLOSED:
-        return lattice_points(q.target)
-    return interior_lattice_points(q.target)
-
-
 def _lattice_witness(q: CoverageQuery) -> IntVec | None:
-    base = q.translate_base.desc
-    shifts = sorted(q.translations)
-    for x in _region_lattice_points(q):
-        if not any(contains(base, vec_sub(x, t), q.mode) for t in shifts):
-            return x
-    return None
+    # lattice x lies in t + B exactly when x - t is a lattice point of B (of
+    # relint B in open mode); a translate may leave the target region
+    points = lattice_points if q.mode is Mode.CLOSED else interior_lattice_points
+    covered = set(point_set_sum(q.translations, points(q.translate_base)).points)
+    return next((x for x in points(q.target) if x not in covered), None)
 
 
 def _verify_witness(q: CoverageQuery, w: Vec) -> None:

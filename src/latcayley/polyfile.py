@@ -23,7 +23,7 @@ def _parse(doc: object, where: str) -> LatticePolytope:
     if "ambient_dim" not in doc or "vertices" not in doc:
         raise PolytopeFileError(f"{where}: missing required field 'ambient_dim' or 'vertices'")
     n = doc["ambient_dim"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise PolytopeFileError(f"{where}: ambient_dim must be a positive integer, got {n!r}")
     verts = doc["vertices"]
     if not isinstance(verts, list) or not verts:

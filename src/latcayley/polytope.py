@@ -11,6 +11,7 @@ full facet/equality system, so the pruning only ever speeds things up.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,8 +22,10 @@ from .geometry import (
     GeometryError,
     Hyperplane,
     IntVec,
+    Mode,
     _piece_edges,
     _tight_masks,
+    contains,
     convex_hull,
     dot,
     is_integer_vec,
@@ -65,10 +68,14 @@ class PointSet:
     points: tuple[IntVec, ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted({tuple(int(x) for x in p) for p in self.points}))
-        if any(len(p) != self.ambient_dim for p in pts):
+        unique = {tuple(p) for p in self.points}
+        if any(len(p) != self.ambient_dim for p in unique):
             raise DimensionMismatch("point length disagrees with ambient_dim")
-        object.__setattr__(self, "points", pts)
+        if not all(type(x) is int for p in unique for x in p):
+            if not all(is_integer_vec(p) and bool not in map(type, p) for p in unique):
+                raise GeometryError("lattice point coordinates must be integers")
+            unique = {tuple(map(int, p)) for p in unique}
+        object.__setattr__(self, "points", tuple(sorted(unique)))
 
     def __iter__(self):
         return iter(self.points)
@@ -77,7 +84,9 @@ class PointSet:
         return len(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(p) in set(self.points)
+        p = tuple(p)
+        i = bisect_left(self.points, p)
+        return i < len(self.points) and self.points[i] == p
 
 
 @dataclass(frozen=True)
@@ -211,7 +220,7 @@ def _fm_levels(rows: list[tuple[IntVec, int]], n: int, cap: int = 400) -> list[l
     return levels
 
 
-def _integer_points(desc: DualDescription, strict: bool) -> list[IntVec]:
+def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     n = desc.ambient_dim
     lo_box = [math.ceil(min(v[i] for v in desc.vertices)) for i in range(n)]
     hi_box = [math.floor(max(v[i] for v in desc.vertices)) for i in range(n)]
@@ -233,21 +242,11 @@ def _integer_points(desc: DualDescription, strict: bool) -> list[IntVec]:
     out: list[IntVec] = []
     prefix = [0] * n
 
-    def leaf_ok() -> bool:
-        p = tuple(prefix)
-        for h in desc.equalities:
-            if dot(h.normal, p) != h.offset:
-                return False
-        for normal, c in desc.facets:
-            v = dot(normal, p)
-            if (v >= c if strict else v > c):
-                return False
-        return True
-
     def rec(j: int) -> None:
         if j == n:
-            if leaf_ok():
-                out.append(tuple(prefix))
+            p = tuple(prefix)
+            if contains(desc, p, mode):
+                out.append(p)
             return
         lo, hi = lo_box[j], hi_box[j]
         for coeffs, rhs in levels[j]:
@@ -270,13 +269,13 @@ def _integer_points(desc: DualDescription, strict: bool) -> list[IntVec]:
 @lru_cache(maxsize=512)
 def lattice_points(P: LatticePolytope) -> PointSet:
     """All integer points of P (exactly those accepted by closed containment)."""
-    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, strict=False)))
+    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED)))
 
 
 @lru_cache(maxsize=512)
 def interior_lattice_points(P: LatticePolytope) -> PointSet:
-    """Integer points in the relative interior of P."""
-    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, strict=True)))
+    """Integer points of relint(P) (exactly those accepted by relative-interior containment)."""
+    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +294,17 @@ def edges(P: LatticePolytope) -> list[Edge]:
     return sorted(out, key=lambda e: e.endpoints)
 
 
-def cayley_slice(polytopes, heights) -> PointSet:
-    """Lattice points of (sum a_i)-dilated Cayley sum whose leading block equals a.
-
-    Computed directly from the Cayley polytope, not from the individual
-    factors, so it can serve as the left side of slice-decomposition checks.
-    """
-    Ps = list(polytopes)
+def cayley_slice(C: LatticePolytope, heights) -> PointSet:
+    """Lattice points of (sum a_i)C, C a Cayley polytope, whose leading block equals
+    a; read off C, not its factors, to serve as the left side of slice checks."""
     a = tuple(int(x) for x in heights)
-    if len(a) != len(Ps):
+    m = len(a)
+    units = {tuple(int(j == i) for j in range(m)) for i in range(m)}
+    if {v[:m] for v in C.vertices} != units:
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")
-    total = sum(a)
-    C = dilate(cayley_sum(Ps), total)
-    m = len(Ps)
-    pts = [p for p in lattice_points(C) if p[:m] == a]
+    pts = [p for p in lattice_points(dilate(C, sum(a))) if p[:m] == a]
     return PointSet(C.ambient_dim, tuple(pts))
 
 

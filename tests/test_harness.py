@@ -68,6 +68,7 @@ def test_load_bad_json_reports_position(tmp_path):
     ({"ambient_dim": 1, "vertices": [[0], [1.5]]}, "vertex 1, coordinate 0"),
     ({"ambient_dim": 1, "vertices": [[True]]}, "non-integer"),
     ({"ambient_dim": 1, "vertices": [[0]], "name": 3}, "name must be a string"),
+    ({"ambient_dim": True, "vertices": [[0]]}, "positive integer"),
 ])
 def test_load_rejects_malformed_documents(tmp_path, doc, fragment):
     path = tmp_path / "p.json"
@@ -232,6 +233,15 @@ def test_cli_check_witness_exactly_on_failure(prop, tmp_path, capsys):
         assert (doc["witness"] is not None) == failed, (paths, doc)
         assert code == (1 if failed else 0), (paths, doc)
     assert 0 < failures < len(inputs)
+
+
+@pytest.mark.parametrize("prop, witness", [
+    ("gorenstein", "witness: (1, (2,))"),
+    ("edge-criterion", "witness: (3, ((0,), (3,)))"),
+])
+def test_cli_text_witness_keeps_one_tuples(prop, witness, capsys):
+    assert main(["check", "--property", prop, fixture_arg("segment")]) == 1
+    assert witness in capsys.readouterr().out.splitlines()
 
 
 def test_cli_check_json_format(capsys):

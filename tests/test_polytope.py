@@ -1,5 +1,7 @@
 """Polytope constructions: sums, dilates, slices, edges, fans."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from latcayley import (
     DimensionMismatch,
     GeometryError,
     Hyperplane,
+    PointSet,
     cayley_slice,
     cayley_sum,
     dilate,
@@ -35,6 +38,28 @@ def test_from_vertices_canonicalizes():
     b = P((1, 1), (0, 0), (0, 1), (1, 0), (0, 0))
     assert a == b
     assert a.vertices == ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_point_set_rejects_non_integer_coordinates():
+    with pytest.raises(GeometryError):
+        PointSet(1, ((Fraction(1, 2),), (1.5,)))
+    with pytest.raises(GeometryError):
+        PointSet(2, ((0, True),))
+    S = PointSet(2, ((Fraction(4, 2), 1), (0, 0), (2, 1)))
+    assert S.points == ((0, 0), (2, 1))
+    assert all(type(x) is int for p in S for x in p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=12),
+    st.lists(st.lists(st.integers(-2, 2), max_size=3), max_size=12),
+)
+def test_point_set_membership_agrees_with_set(points, queries):
+    S = PointSet(2, points)
+    have = set(S.points)
+    for q in list(S.points) + [list(p) for p in S.points] + queries:
+        assert (q in S) == (tuple(q) in have)
 
 
 def test_from_vertices_rejects_non_integer():
@@ -123,7 +148,7 @@ def test_dilate():
 
 def test_cayley_slice_counts_the_extra_point():
     Ps = [P((0, 0), (1, 2)), P((0, 0), (1, 0))]
-    sl = cayley_slice(Ps, (1, 1))
+    sl = cayley_slice(cayley_sum(Ps), (1, 1))
     assert len(sl.points) == 5
     projections = {p[2:] for p in sl.points}
     assert all(p[:2] == (1, 1) for p in sl.points)
@@ -132,8 +157,15 @@ def test_cayley_slice_counts_the_extra_point():
 
 def test_cayley_slice_zero_heights_allowed():
     Ps = [P((0, 0), (1, 0)), P((0, 0), (0, 1))]
-    sl = cayley_slice(Ps, (2, 0))
+    sl = cayley_slice(cayley_sum(Ps), (2, 0))
     assert {p[2:] for p in sl.points} == {(0, 0), (1, 0), (2, 0)}
+
+
+@pytest.mark.parametrize("heights", [(1,), (1, 1, 0), (-1, 2)])
+def test_cayley_slice_rejects_bad_heights(heights):
+    C = cayley_sum([P((0, 0), (1, 0)), P((0, 0), (0, 1))])
+    with pytest.raises(GeometryError):
+        cayley_slice(C, heights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,19 @@
 """Property deciders: IDP, tuple-IDP, level, Gorenstein, edge criterion."""
 
 import math
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latcayley import (
+    CoverageQuery,
     DimensionMismatch,
     GeometryError,
     PointSet,
     PropertyReport,
     Verdict,
+    cayley_slice,
     cayley_sum,
     dilate,
     edge_length_criterion,
@@ -29,6 +32,9 @@ from latcayley import (
     random_lattice_polytope,
     translate,
 )
+
+from latcayley.covering import _lattice_witness
+from latcayley.geometry import Mode, contains, vec_sub
 
 from conftest import load_fixture
 
@@ -53,6 +59,13 @@ def test_point_set_sum_identity_and_commutativity():
     assert point_set_sum(A, zero) == A
     B = PointSet(2, ((1, 1), (-1, 0)))
     assert point_set_sum(A, B) == point_set_sum(B, A)
+
+
+def test_point_set_sum_empty_and_zero_dimensional():
+    empty, origin = PointSet(2, ()), PointSet(0, ((),))
+    assert point_set_sum(empty, PointSet(2, ((1, 1),))) == empty
+    assert point_set_sum(origin, origin) == origin
+    assert point_set_sum(origin, PointSet(0, ())) == PointSet(0, ())
 
 
 def test_point_set_sum_dim_mismatch():
@@ -294,3 +307,92 @@ def test_level_translation_invariant(seed):
     moved = translate(Q, (11, -4))
     assert level_index(Q).index_r == level_index(moved).index_r
     assert level_status(Q).verdict == level_status(moved).verdict
+
+
+# ---------------------------------------------------------------------------
+# reference implementations: one plain sumset scan per question
+
+
+def first_not_in(lhs, rhs):
+    have = set(rhs.points)
+    return next((p for p in lhs if p not in have), None)
+
+
+def ref_idp_witness(P):
+    gens = lattice_points(P)
+    for n in range(2, max(2, P.dim - 1) + 1):
+        rhs = point_set_sum(lattice_points(dilate(P, n - 1)), gens)
+        w = first_not_in(lattice_points(dilate(P, n)), rhs)
+        if w is not None:
+            return (n, w)
+    return None
+
+
+def ref_tuple_idp_witness(Ps):
+    for size in range(1, len(Ps) + 1):
+        for I in combinations(range(len(Ps)), size):
+            rhs = lattice_points(Ps[I[0]])
+            for i in I[1:]:
+                rhs = point_set_sum(rhs, lattice_points(Ps[i]))
+            w = first_not_in(lattice_points(minkowski_sum([Ps[i] for i in I])), rhs)
+            if w is not None:
+                return (tuple(i + 1 for i in I), w)
+    return None
+
+
+def ref_level_witness(P, horizon):
+    data = level_index(P)
+    r, gens = data.index_r, data.interior_generators
+    for n in range(r, horizon + 1):
+        rhs = gens if n == r else point_set_sum(gens, lattice_points(dilate(P, n - r)))
+        w = first_not_in(interior_lattice_points(dilate(P, n)), rhs)
+        if w is not None:
+            return (n, w)
+    return None
+
+
+def ref_lattice_witness(q):
+    region = lattice_points(q.target) if q.mode is Mode.CLOSED else interior_lattice_points(q.target)
+    for x in region:
+        if not any(contains(q.translate_base.desc, vec_sub(x, t), q.mode) for t in q.translations):
+            return x
+    return None
+
+
+def ref_cayley_slice(Ps, a):
+    C = dilate(cayley_sum(Ps), sum(a))
+    return PointSet(C.ambient_dim, tuple(p for p in lattice_points(C) if p[:len(Ps)] == a))
+
+
+@st.composite
+def polytope_pairs(draw):
+    n = draw(st.integers(1, 2))
+    pts = st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4)
+    return from_vertices(draw(pts)), from_vertices(draw(pts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_pairs())
+# the ex19 (moved into [0, 2]^2) and ex24 fixture pairs: IDP of the Cayley sum
+# and tuple IDP fail on both, levelness of the ex19 Cayley sum at degree 3
+@example((P((0, 1), (1, 0)), P((0, 0), (2, 2))))
+@example((P((0, 0), (1, 2)), P((0, 0), (1, 0))))
+def test_deciders_match_reference_sumset_scans(pair):
+    P, Q = pair
+    C = cayley_sum(pair)
+    for A, B in ((lattice_points(P), lattice_points(Q)), (lattice_points(C), lattice_points(C))):
+        pairwise = {tuple(x + y for x, y in zip(a, b)) for a in A for b in B}
+        assert point_set_sum(A, B).points == tuple(sorted(pairwise))
+    for R in (P, C):
+        assert is_idp(R).witness == ref_idp_witness(R)
+    for Ps in ([P, Q], [P, Q, P]):
+        assert is_tuple_idp(Ps).witness == ref_tuple_idp_witness(Ps)
+    for R, horizon in ((P, None), (minkowski_sum(pair), None), (C, level_index(C).index_r + 1)):
+        rep = level_status(R, horizon)
+        assert rep.witness == ref_level_witness(R, rep.horizon_used)
+    for mode in Mode:
+        for shifts in (lattice_points(P), lattice_points(Q)):
+            q = CoverageQuery(dilate(P, 2), P, shifts, mode)
+            assert _lattice_witness(q) == ref_lattice_witness(q)
+    for a in ((0, 0), (1, 0), (1, 2), (2, 1)):
+        assert cayley_slice(C, a) == ref_cayley_slice(pair, a)
