@@ -4,12 +4,21 @@ Coordinates are Python ints or ``fractions.Fraction``; nothing here touches
 floating point, so every predicate is a decision, not an estimate.  All public
 objects are immutable and all functions are pure, so they are safe to call
 concurrently.
+
+Convex hulls are built in exact integer arithmetic by beneath-beyond
+insertion: the points are scaled once to integers, and the hull boundary is
+kept as a set of simplices whose outward normals are signed maximal minors,
+computed by fraction-free (Bareiss) elimination.  A point is inserted only when
+it lies strictly beyond some simplex, so it is never in the affine span of a
+ridge it is joined to, and no degenerate simplex can arise.  Planar hulls use
+a monotone chain instead.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -92,7 +101,11 @@ def barycenter(points) -> Vec:
 
 
 def is_integer_vec(v: Vec) -> bool:
-    return all(isinstance(x, int) or (isinstance(x, Fraction) and x.denominator == 1) for x in v)
+    """True iff every entry is an int or an integral Fraction; bool is not a number here."""
+    return all(
+        (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, Fraction) and x.denominator == 1)
+        for x in v
+    )
 
 
 def primitive(v: Vec) -> IntVec:
@@ -142,8 +155,43 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat[: len(pivots)], pivots
 
 
+def _bareiss(mat: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free row echelon pass (Bareiss, 1968) over an integer matrix, in place.
+
+    Returns (rank, determinant); the determinant is 0 unless the matrix is
+    square and nonsingular.  Every entry stays an integer minor of the input,
+    so each division is exact.
+    """
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    r, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            mat[r], mat[p] = mat[p], mat[r]
+            sign = -sign
+        top = mat[r]
+        a = top[c]
+        for i in range(r + 1, nrows):
+            b = mat[i][c]
+            mat[i] = [(a * x - b * y) // prev for x, y in zip(mat[i], top)]
+        prev = a
+        r += 1
+    return r, (sign * prev if r == nrows == ncols else 0)
+
+
 def rank(rows: list[Vec]) -> int:
-    return len(rref([list(r) for r in rows])[1])
+    """Rank over the rationals, fraction-free: each row is scaled by the lcm of
+    its denominators, then the rows are eliminated over the integers."""
+    mat = []
+    for row in rows:
+        d = math.lcm(*(x.denominator for x in row))
+        mat.append([x.numerator * (d // x.denominator) for x in row])
+    return _bareiss(mat)[0]
 
 
 def nullspace(rows: list[Vec], ncols: int) -> list[IntVec]:
@@ -257,6 +305,8 @@ def _validate_points(points) -> list[Vec]:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points have mixed ambient dimensions")
+    if not all(isinstance(x, (int, Fraction)) for p in pts for x in p):
+        raise GeometryError("coordinates must be ints or Fractions")
     return pts
 
 
@@ -271,11 +321,11 @@ def affine_hull(points) -> tuple[int, tuple[Hyperplane, ...]]:
     n = len(pts[0])
     base = pts[0]
     diffs = [vec_sub(p, base) for p in pts[1:]]
+    if rank(diffs) == n:
+        return n, ()
     red, pivots = rref([list(d) for d in diffs])
     dim = len(pivots)
     normals = nullspace([tuple(r) for r in red] if red else [], n)
-    if not normals:
-        return dim, ()
     rows = [[as_fraction(x) for x in a] + [as_fraction(dot(a, base))] for a in normals]
     red2, _ = rref(rows)
     eqs = []
@@ -317,27 +367,58 @@ def _hull_2d(pts: list[Vec]) -> tuple[list[Vec], list[Facet]]:
     return cycle, facets
 
 
-def _brute_facets(
-    cand: list[Vec], dim: int, eq_normals: list[IntVec], n: int
-) -> list[Facet]:
-    facets: dict[Facet, None] = {}
-    eq_rows = [tuple(map(Fraction, e)) for e in eq_normals]
-    for subset in combinations(range(len(cand)), dim):
-        s0 = cand[subset[0]]
-        rows: list[Vec] = [vec_sub(cand[i], s0) for i in subset[1:]]
-        rows.extend(eq_rows)
-        ns = nullspace(rows, n)
-        if len(ns) != 1:
+def _beneath_beyond(
+    pts: list[IntVec], dim: int, eq_normals: list[IntVec]
+) -> dict[tuple[int, ...], tuple[IntVec, int]]:
+    """Simplicial boundary of conv(pts) for distinct integer points of affine dimension dim >= 1.
+
+    Maps the sorted corner indices of each boundary simplex to its outward
+    primitive normal u and offset c (u.x <= c on the hull).  The normal is the
+    vector of signed maximal minors of the simplex's edge vectors stacked on
+    the equality normals, so it lies in the direction space of the affine hull.
+    """
+    simplex = [0]
+    edges: list[list[int]] = []
+    for i in range(1, len(pts)):
+        if len(simplex) == dim + 1:
+            break
+        e = [a - b for a, b in zip(pts[i], pts[0])]
+        if rank(edges + [e]) > len(edges):
+            edges.append(e)
+            simplex.append(i)
+    # (dim+1) times the barycenter of the first simplex: strictly inside every later hull
+    inner = [sum(c) for c in zip(*(pts[i] for i in simplex))]
+    eq_rows = [list(e) for e in eq_normals]
+    n = len(pts[0])
+
+    def facet(corners: tuple[int, ...]) -> tuple[IntVec, int]:
+        p0 = pts[corners[0]]
+        rows = [[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_rows
+        u = [(-1) ** j * _bareiss([r[:j] + r[j + 1:] for r in rows])[1] for j in range(n)]
+        c = dot(u, p0)
+        g = math.gcd(*u)
+        if dot(u, inner) > (dim + 1) * c:
+            g = -g
+        return tuple(x // g for x in u), c // g
+
+    boundary = {}
+    for j in range(dim + 1):
+        corners = tuple(simplex[:j] + simplex[j + 1:])
+        boundary[corners] = facet(corners)
+    placed = set(simplex)
+    for i, p in enumerate(pts):
+        if i in placed:
             continue
-        u = ns[0]
-        vals = [dot(u, p) for p in cand]
-        c0 = dot(u, s0)
-        mx, mn = max(vals), min(vals)
-        if c0 == mx and mx > mn:
-            facets[(u, norm_scalar(c0))] = None
-        elif c0 == mn and mx > mn:
-            facets[(tuple(-x for x in u), norm_scalar(-c0))] = None
-    return list(facets)
+        visible = [s for s, (u, c) in boundary.items() if dot(u, p) > c]
+        ridges: Counter[tuple[int, ...]] = Counter()
+        for s in visible:
+            del boundary[s]
+            ridges.update(s[:j] + s[j + 1:] for j in range(dim))
+        for ridge, count in ridges.items():
+            if count == 1:  # on the horizon: its other simplex stays
+                corners = tuple(sorted(ridge + (i,)))
+                boundary[corners] = facet(corners)
+    return boundary
 
 
 def convex_hull(points) -> DualDescription:
@@ -346,6 +427,17 @@ def convex_hull(points) -> DualDescription:
     Facet normals are chosen inside the direction space of the affine hull
     (orthogonal to every equality normal), which makes them unique up to the
     primitive-outward normalization.
+
+    Planar full-dimensional sets go through a monotone chain.  Every other set
+    is scaled by the lcm L of its denominators and built by beneath-beyond
+    insertion in exact integers: a point joins the hull only when it lies
+    strictly beyond some boundary simplex, and is then coned to the horizon
+    ridges (those shared by exactly one visible simplex).  Because the point
+    is strictly off the hyperplane of the visible simplex, it is off the
+    affine span of every ridge of it, so coplanar points never make a
+    degenerate simplex.  Coplanar simplices are merged by (normal, offset), the
+    offsets divided by L, and a simplex corner is a vertex iff its tight
+    facet normals and the equality normals have full rank.
     """
     pts = _validate_points(points)
     n = len(pts[0])
@@ -358,13 +450,15 @@ def convex_hull(points) -> DualDescription:
         verts = tuple(sorted(cycle))
         return DualDescription(n, 2, verts, tuple(sorted(facets)), eqs)
     eq_normals = [h.normal for h in eqs]
-    facets = _brute_facets(cand, dim, eq_normals, n)
-    verts = []
-    for p in cand:
-        tight: list[Vec] = [normal for normal, c in facets if dot(normal, p) == c]
-        tight.extend(eq_normals)
-        if rank(tight) == n:
-            verts.append(p)
+    scale = math.lcm(*(x.denominator for p in cand for x in p))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in cand]
+    boundary = _beneath_beyond(ipts, dim, eq_normals)
+    tight: defaultdict[int, set[IntVec]] = defaultdict(set)
+    for corners, (normal, _) in boundary.items():
+        for i in corners:
+            tight[i].add(normal)
+    verts = [cand[i] for i, normals in tight.items() if rank([*normals, *eq_normals]) == n]
+    facets = {(normal, norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
     return DualDescription(n, dim, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
 
 

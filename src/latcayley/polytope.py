@@ -72,7 +72,7 @@ class PointSet:
         if any(len(p) != self.ambient_dim for p in unique):
             raise DimensionMismatch("point length disagrees with ambient_dim")
         if not all(type(x) is int for p in unique for x in p):
-            if not all(is_integer_vec(p) and bool not in map(type, p) for p in unique):
+            if not all(is_integer_vec(p) for p in unique):
                 raise GeometryError("lattice point coordinates must be integers")
             unique = {tuple(map(int, p)) for p in unique}
         object.__setattr__(self, "points", tuple(sorted(unique)))
@@ -97,21 +97,25 @@ class Edge:
     lattice_length: int
 
 
+def _int_vec(v, what: str) -> IntVec:
+    """v as a tuple of ints; rejects bool and non-integral entries instead of truncating."""
+    v = tuple(v)
+    if not is_integer_vec(v):
+        raise GeometryError(f"non-integer {what} {v!r}")
+    return tuple(int(x) for x in v)
+
+
 def from_vertices(points) -> LatticePolytope:
     """Canonical lattice polytope from any finite set of integer points."""
-    pts = [tuple(p) for p in points]
+    pts = [_int_vec(p, "vertex") for p in points]
     if not pts:
         raise GeometryError("empty point set")
-    for p in pts:
-        if not is_integer_vec(p):
-            raise GeometryError(f"non-integer vertex {p!r}")
-    pts = [tuple(int(x) for x in p) for p in pts]
     return LatticePolytope(convex_hull(pts))
 
 
 def translate(P: LatticePolytope, v) -> LatticePolytope:
     """Shift by an integer vector; canonical form is preserved."""
-    v = tuple(int(x) for x in v)
+    v = _int_vec(v, "translation")
     if len(v) != P.ambient_dim:
         raise GeometryError("translation vector has wrong length")
     d = P.desc
@@ -297,7 +301,7 @@ def edges(P: LatticePolytope) -> list[Edge]:
 def cayley_slice(C: LatticePolytope, heights) -> PointSet:
     """Lattice points of (sum a_i)C, C a Cayley polytope, whose leading block equals
     a; read off C, not its factors, to serve as the left side of slice checks."""
-    a = tuple(int(x) for x in heights)
+    a = _int_vec(heights, "heights")
     m = len(a)
     units = {tuple(int(j == i) for j in range(m)) for i in range(m)}
     if {v[:m] for v in C.vertices} != units:

@@ -1,6 +1,8 @@
 """Exact-arithmetic core: hulls, dual descriptions, arrangements."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +20,16 @@ from latcayley.geometry import (
     CELL_BUDGET_ENV,
     DEFAULT_CELL_BUDGET,
     Mode,
+    affine_hull,
     cell_budget,
     dot,
+    is_integer_vec,
     norm_scalar,
+    nullspace,
     primitive,
     rank,
+    rref,
+    vec_sub,
 )
 
 
@@ -123,6 +130,117 @@ def test_dual_description_invariants_random(pts):
     assert convex_hull(d.vertices) == d
 
 
+# ---------------------------------------------------------------------------
+# reference hull: every dim-subset of the candidates, one Fraction nullspace each
+
+
+def _brute_facets(cand, dim, eq_normals, n):
+    facets = {}
+    eq_rows = [tuple(map(Fraction, e)) for e in eq_normals]
+    for subset in combinations(range(len(cand)), dim):
+        s0 = cand[subset[0]]
+        rows = [vec_sub(cand[i], s0) for i in subset[1:]]
+        rows.extend(eq_rows)
+        ns = nullspace(rows, n)
+        if len(ns) != 1:
+            continue
+        u = ns[0]
+        vals = [dot(u, p) for p in cand]
+        c0 = dot(u, s0)
+        mx, mn = max(vals), min(vals)
+        if c0 == mx and mx > mn:
+            facets[(u, norm_scalar(c0))] = None
+        elif c0 == mn and mx > mn:
+            facets[(tuple(-x for x in u), norm_scalar(-c0))] = None
+    return list(facets)
+
+
+def _reference_hull(points):
+    cand = sorted(set(map(tuple, points)))
+    n = len(cand[0])
+    dim, eqs = affine_hull(cand)
+    if dim == 0:
+        return DualDescription(n, 0, (cand[0],), (), eqs)
+    eq_normals = [h.normal for h in eqs]
+    facets = _brute_facets(cand, dim, eq_normals, n)
+    verts = [
+        p for p in cand
+        if rank([u for u, c in facets if dot(u, p) == c] + eq_normals) == n
+    ]
+    return DualDescription(n, dim, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
+
+
+@st.composite
+def _hull_inputs(draw):
+    """Point sets in dimensions 1-5: full-dimensional, on a hyperplane, Cayley-type
+    at unit heights, with rational coordinates, and with duplicates."""
+    kind = draw(st.sampled_from(["full", "hyperplane", "cayley", "fraction"]))
+    n = draw(st.integers(4, 5) if kind == "cayley" else st.integers(1, 5))
+    coord = st.integers(-3, 3)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=10 if n < 5 else 8))
+    if kind == "hyperplane" and n >= 2:
+        a = draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))
+        b = draw(coord)
+        pts = [p[:-1] + (dot(a, p[:-1]) + b,) for p in pts]
+    elif kind == "cayley":
+        m = draw(st.integers(2, 3))
+        pts = [tuple(int(j == p[0] % m) for j in range(m)) + p[m:] for p in pts]
+    elif kind == "fraction":
+        dens = draw(st.lists(st.integers(1, 3), min_size=len(pts), max_size=len(pts)))
+        pts = [tuple(Fraction(x, d) for x in p) for p, d in zip(pts, dens)]
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hull_inputs(), st.randoms(use_true_random=False))
+def test_convex_hull_matches_brute_force_reference(pts, rnd):
+    d = convex_hull(pts)
+    assert d == _reference_hull(pts)
+    shuffled = list(pts)
+    rnd.shuffle(shuffled)
+    assert convex_hull(shuffled) == d
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_convex_hull_of_3d_minkowski_sum_matches_reference(seed):
+    rng = random.Random(seed)
+    P = from_vertices([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(7)])
+    Q = from_vertices([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(8)])
+    sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
+    assert convex_hull(sums) == _reference_hull(sums)
+
+
+_entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [],
+        [[]],
+        [[0, 0, 0]],
+        [[0, 0], [0, 0]],
+        [[1, Fraction(1, 2)], [2, 1], [0, 0]],
+        [[Fraction(1, 3), 2, 0], [0, 0, 0], [1, 6, Fraction(0)], [0, 1, Fraction(-5, 2)]],
+    ],
+)
+def test_rank_matches_rref_pivot_count_explicit(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c), max_size=6)))
+def test_rank_matches_rref_pivot_count(rows):
+    assert rank(rows) == len(rref(rows)[1])
+
+
+def test_is_integer_vec_rejects_bool():
+    assert is_integer_vec((0, Fraction(4, 2), -3))
+    assert not is_integer_vec((True, 0))
+    assert not is_integer_vec((0, Fraction(1, 2)))
+
+
 def test_contains_closed_and_relative_interior():
     d = convex_hull([(0, 0), (2, 0), (0, 2)])
     assert contains(d, (0, 0))
@@ -180,3 +298,5 @@ def test_no_floats_anywhere_in_descriptions():
     for normal, offset in d.facets:
         assert all(isinstance(c, int) for c in normal)
         assert isinstance(offset, int)
+    with pytest.raises(GeometryError):
+        convex_hull([(0, 0), (0.5, 1)])

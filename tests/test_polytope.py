@@ -65,6 +65,25 @@ def test_point_set_membership_agrees_with_set(points, queries):
 def test_from_vertices_rejects_non_integer():
     with pytest.raises(GeometryError):
         from_vertices([(0, 0), (1, 0.5)])
+    with pytest.raises(GeometryError):
+        from_vertices([(True, 0), (0, 1)])
+
+
+@pytest.mark.parametrize("bad", [(0.5, 0), (True, 0), (Fraction(1, 2), 0), (1.0, 0)])
+def test_translate_and_cayley_slice_reject_non_integral_entries(bad):
+    sq = P((0, 0), (1, 0), (0, 1), (1, 1))
+    C = cayley_sum([sq, sq])
+    with pytest.raises(GeometryError):
+        translate(sq, bad)
+    with pytest.raises(GeometryError):
+        cayley_slice(C, bad)
+
+
+def test_translate_and_cayley_slice_normalise_integral_fractions():
+    sq = P((0, 0), (1, 0), (0, 1), (1, 1))
+    C = cayley_sum([sq, sq])
+    assert translate(sq, (Fraction(4, 2), 0)) == translate(sq, (2, 0))
+    assert cayley_slice(C, (Fraction(2, 1), 0)) == cayley_slice(C, (2, 0))
 
 
 def test_lattice_points_unit_square(unit_square):
