@@ -27,6 +27,8 @@ def random_lattice_polytope(
         raise GeometryError("dim cannot exceed ambient_dim")
     if dim < 0 or ambient_dim < 1:
         raise GeometryError("need ambient_dim >= 1 and dim >= 0")
+    if coord_bound < 0:
+        raise GeometryError(f"coord_bound must be nonnegative, got {coord_bound}")
     k = n_points if n_points is not None else dim + 2
     if k < dim + 1:
         raise GeometryError("n_points must be at least dim+1")

@@ -43,7 +43,7 @@ class DimensionMismatch(GeometryError):
 
 
 class CellBudgetExceeded(RuntimeError):
-    """An arrangement or covering computation outgrew the configured budget."""
+    """An arrangement, covering or lattice point enumeration outgrew the configured budget."""
 
 
 class Mode(Enum):

@@ -3,9 +3,10 @@
 A lattice polytope is stored by its canonical dual description, so structural
 equality decides set equality.  Dilates and translates are constructed by
 rescaling the description directly; Minkowski and Cayley sums go through the
-convex hull.  Integer-point enumeration scans the coordinate bounding box with
-Fourier-Motzkin interval pruning and re-verifies every candidate against the
-full facet/equality system, so the pruning only ever speeds things up.
+convex hull.  Integer points are enumerated one coordinate at a time, each
+coordinate bounded by the facets of the polytope's projection onto the
+coordinates fixed so far; those bounds are exact, so every point produced is
+in the polytope and none is re-tested.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import (
+    CELL_BUDGET_ENV,
+    CellBudgetExceeded,
     DimensionMismatch,
     DualDescription,
     GeometryError,
@@ -25,7 +28,7 @@ from .geometry import (
     Mode,
     _piece_edges,
     _tight_masks,
-    contains,
+    cell_budget,
     convex_hull,
     dot,
     is_integer_vec,
@@ -179,94 +182,67 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
-def _reduce_row(coeffs: list[int], rhs: int) -> tuple[IntVec, int] | None:
-    if not any(coeffs):
-        return None  # 0 <= rhs rows carry no bound; infeasible rows caught at leaves
-    g = math.gcd(*coeffs, rhs)
-    return tuple(c // g for c in coeffs), rhs // g
-
-
-def _fm_levels(rows: list[tuple[IntVec, int]], n: int, cap: int = 400) -> list[list[tuple[IntVec, int]]]:
-    """levels[k] = inequality rows with support in coordinates 0..k.
-
-    Built by eliminating the trailing coordinate with Fourier-Motzkin.  The row
-    count per level is capped; dropped rows only loosen the interval pruning.
-    """
-    levels: list[list[tuple[IntVec, int]]] = [[] for _ in range(n)]
-    cur = []
-    for coeffs, rhs in rows:
-        red = _reduce_row(list(coeffs), rhs)
-        if red is not None:
-            cur.append(red)
-    for k in range(n - 1, -1, -1):
-        levels[k] = [r for r in cur if r[0][k] != 0]
-        if k == 0:
-            break
-        passthrough = [r for r in cur if r[0][k] == 0]
-        pos = [r for r in cur if r[0][k] > 0]
-        neg = [r for r in cur if r[0][k] < 0]
-        combined: dict[tuple[IntVec, int], None] = {}
-        for (a, c1) in pos:
-            for (b, c2) in neg:
-                p, q = a[k], -b[k]
-                coeffs = [q * x + p * y for x, y in zip(a, b)]
-                red = _reduce_row(coeffs, q * c1 + p * c2)
-                if red is not None:
-                    combined[red] = None
-        nxt = passthrough + sorted(combined)
-        if len(nxt) > cap:
-            nxt = nxt[:cap]
-        cur = nxt
-    return levels
-
-
 def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
+    """The integer points of P (closed mode) or of relint P, in lexicographic order.
+
+    Coordinates are fixed in order.  Level k holds the rows of the projection
+    pi_k(P) onto coordinates 0..k (the hull of the projected vertices; level
+    n-1 is P itself) whose k-th coefficient is nonzero.  A facet u.x <= c with
+    c = a/s in lowest terms becomes the integer row s*u.x <= a, and in
+    relative-interior mode s*u.x <= a - 1, which over the integers is exactly
+    u.x < c.  Each equality becomes two rows.
+
+    By induction every prefix accepted at level k lies in pi_k(P), or in
+    relint pi_k(P) = pi_k(relint P) (Rockafellar, Convex Analysis, Thm 6.6).
+    A facet of pi_k(P) whose k-th coefficient is zero is an inequality on
+    coordinates 0..k-1, valid on pi_{k-1}(P) and not constant there, so the
+    level below already enforces it, strictly in relative-interior mode.  So
+    the rows give the exact fibre over each accepted prefix, the last
+    coordinate is emitted as a whole interval, and no point is re-tested.
+    Raises CellBudgetExceeded when the output would exceed the cell budget
+    (LATCAYLEY_CELL_BUDGET).
+    """
     n = desc.ambient_dim
-    lo_box = [math.ceil(min(v[i] for v in desc.vertices)) for i in range(n)]
-    hi_box = [math.floor(max(v[i] for v in desc.vertices)) for i in range(n)]
-    if any(lo > hi for lo, hi in zip(lo_box, hi_box)):
-        return []
-    rows: list[tuple[IntVec, int]] = []
-    for normal, c in desc.facets:
-        cf = Fraction(c)
-        scale = cf.denominator
-        rows.append((tuple(x * scale for x in normal), int(cf * scale)))
-    for h in desc.equalities:
-        cf = Fraction(h.offset)
-        scale = cf.denominator
-        nn = tuple(x * scale for x in h.normal)
-        cc = int(cf * scale)
-        rows.append((nn, cc))
-        rows.append((tuple(-x for x in nn), -cc))
-    levels = _fm_levels(rows, n) if n > 0 else []
+    if n == 0:
+        return [()]
+    strict = int(mode is Mode.RELATIVE_INTERIOR)
+    # levels[k] = (upper, lower); a row (head, m, r) bounds x_k above by
+    # (r - head.x) // m, or below by -((r - head.x) // m)
+    levels: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    proj = desc
+    for k in range(n - 1, -1, -1):
+        if k < n - 1:
+            proj = convex_hull({v[: k + 1] for v in proj.vertices})
+        rows = [(u, Fraction(c), strict) for u, c in proj.facets]
+        for h in proj.equalities:
+            c = Fraction(h.offset)
+            rows += [(h.normal, c, 0), (tuple(-x for x in h.normal), -c, 0)]
+        for u, c, shift in rows:
+            if u[k]:
+                s = c.denominator
+                row = (tuple(s * x for x in u[:k]), s * abs(u[k]), c.numerator - shift)
+                levels[k][u[k] < 0].append(row)
+    budget = cell_budget()
     out: list[IntVec] = []
-    prefix = [0] * n
 
-    def rec(j: int) -> None:
-        if j == n:
-            p = tuple(prefix)
-            if contains(desc, p, mode):
-                out.append(p)
+    def rec(k: int, prefix: IntVec) -> None:
+        upper, lower = levels[k]
+        hi = min((r - dot(h, prefix)) // c for h, c, r in upper)
+        lo = max(-((r - dot(h, prefix)) // c) for h, c, r in lower)
+        if lo > hi:
             return
-        lo, hi = lo_box[j], hi_box[j]
-        for coeffs, rhs in levels[j]:
-            acc = rhs - sum(coeffs[i] * prefix[i] for i in range(j))
-            cj = coeffs[j]
-            if cj > 0:
-                hi = min(hi, acc // cj)
-            else:
-                lo = max(lo, _ceil_div(acc, cj))
-            if lo > hi:
-                return
-        for x in range(lo, hi + 1):
-            prefix[j] = x
-            rec(j + 1)
+        if k < n - 1:
+            for x in range(lo, hi + 1):
+                rec(k + 1, prefix + (x,))
+            return
+        if len(out) + hi - lo + 1 > budget:
+            raise CellBudgetExceeded(
+                f"lattice point enumeration would return more than {budget} points; "
+                f"raise {CELL_BUDGET_ENV} to allow more"
+            )
+        out.extend(prefix + (x,) for x in range(lo, hi + 1))
 
-    rec(0)
+    rec(0, ())
     return out
 
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from latcayley import from_vertices, load_polytope
+from latcayley import from_vertices, interior_lattice_points, lattice_points, load_polytope
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,6 +45,13 @@ def reeve():
 def segment():
     # [0, 3] on the line
     return load_fixture("segment")
+
+
+@pytest.fixture
+def cold_enumeration_cache():
+    """Empty the enumeration caches, so the next call enumerates afresh."""
+    lattice_points.cache_clear()
+    interior_lattice_points.cache_clear()
 
 
 def seg(a, b):

@@ -19,6 +19,7 @@ from latcayley import (
 )
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, main
+from latcayley.geometry import CELL_BUDGET_ENV
 from latcayley.reproduce import EXAMPLE_NAMES
 
 from conftest import FIXTURES, GOLDEN, all_fixture_names, load_fixture, read_json
@@ -282,6 +283,22 @@ def test_cli_random_is_deterministic(tmp_path, capsys):
     assert main(args + ["--out", str(b)]) == 0
     assert load_polytope(a) == load_polytope(b)
     assert load_polytope(a) == random_lattice_polytope(5, 2, 2)
+
+
+def test_cli_check_exits_2_past_enumeration_budget(monkeypatch, capsys, cold_enumeration_cache):
+    monkeypatch.setenv(CELL_BUDGET_ENV, "10")
+    assert main(["check", fixture_arg("unit_cube"), "--property", "idp"]) == 2
+    assert CELL_BUDGET_ENV in capsys.readouterr().err
+
+
+def test_random_rejects_negative_coord_bound(tmp_path, capsys):
+    with pytest.raises(GeometryError):
+        random_lattice_polytope(0, 2, 2, coord_bound=-1)
+    out = tmp_path / "x.json"
+    args = ["random", "--seed", "0", "--ambient-dim", "2", "--dim", "2", "--coord-bound", "-1"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert "coord_bound" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_verify_and_reproduce_exit_codes(capsys):

@@ -1,11 +1,15 @@
 """Polytope constructions: sums, dilates, slices, edges, fans."""
 
+import math
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latcayley import (
+    CellBudgetExceeded,
     DimensionMismatch,
     GeometryError,
     Hyperplane,
@@ -21,6 +25,7 @@ from latcayley import (
     normal_fan_coarsens,
     translate,
 )
+from latcayley.geometry import CELL_BUDGET_ENV, Mode, contains, dot
 
 from conftest import load_fixture, seg
 
@@ -100,6 +105,79 @@ def test_interior_lattice_points():
     # relative interior for lower-dimensional polytopes
     assert interior_lattice_points(seg((0,), (3,))).points == ((1,), (2,))
     assert interior_lattice_points(P((5, 7))).points == ((5, 7),)
+
+
+def _box_size(Q):
+    return math.prod(max(c) - min(c) + 1 for c in zip(*Q.vertices))
+
+
+def _assert_enumeration_matches_box_scan(Q):
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*Q.vertices)))
+    closed, inner = [], []
+    for p in box:
+        if contains(Q.desc, p, Mode.CLOSED):
+            closed.append(p)
+            if contains(Q.desc, p, Mode.RELATIVE_INTERIOR):
+                inner.append(p)
+    assert lattice_points(Q).points == tuple(closed)
+    assert interior_lattice_points(Q).points == tuple(inner)
+
+
+@st.composite
+def _enumeration_inputs(draw):
+    """Integer polytopes in dimensions 1-5 (full-dimensional, on a hyperplane, or
+    Cayley-type at unit heights), at the largest dilate in 1..t, t <= 3, whose
+    vertex box holds at most 20000 points."""
+    kind = draw(st.sampled_from(["full", "hyperplane", "cayley"]))
+    n = draw(st.integers(3, 5) if kind == "cayley" else st.integers(1, 5))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=8))
+    if kind == "hyperplane" and n >= 2:
+        a = draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))
+        b = draw(coord)
+        pts = [p[:-1] + (dot(a, p[:-1]) + b,) for p in pts]
+    elif kind == "cayley":
+        m = draw(st.integers(2, n - 1))
+        pts = [tuple(int(j == p[0] % m) for j in range(m)) + p[m:] for p in pts]
+    Q = from_vertices(pts)
+    t = draw(st.integers(1, 3))
+    while t > 1 and _box_size(dilate(Q, t)) > 20000:
+        t -= 1
+    return dilate(Q, t)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_enumeration_inputs())
+def test_lattice_points_match_box_scan(Q):
+    _assert_enumeration_matches_box_scan(Q)
+
+
+def _random_3d_minkowski_sum(seed):
+    rng = random.Random(seed)
+    A = from_vertices([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(7)])
+    B = from_vertices([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(8)])
+    return minkowski_sum([A, B])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: dilate(_random_3d_minkowski_sum(0), 2),
+        lambda: dilate(_random_3d_minkowski_sum(1), 2),
+        lambda: seg((0, 0, 0), (0, 0, 4)),
+        lambda: from_vertices([()]),
+    ],
+    ids=["mink3d-seed0-x2", "mink3d-seed1-x2", "segment-on-axis", "ambient-point"],
+)
+def test_lattice_points_match_box_scan_explicit(make):
+    _assert_enumeration_matches_box_scan(make())
+
+
+def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enumeration_cache):
+    monkeypatch.setenv(CELL_BUDGET_ENV, "10")
+    with pytest.raises(CellBudgetExceeded, match=CELL_BUDGET_ENV):
+        lattice_points(dilate(unit_square, 5))
+    assert len(lattice_points(dilate(unit_square, 2))) == 9
 
 
 def test_translate_moves_lattice_points(unit_square):
