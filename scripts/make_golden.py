@@ -42,6 +42,25 @@ CASES = {
         "edge-criterion",
         "fixtures/simplex_2d.json",
     ],
+    "check_tuple_idp_ex24.json": [
+        "check",
+        "--property",
+        "tuple-idp",
+        "fixtures/ex24_p1.json",
+        "fixtures/ex24_p2.json",
+    ],
+    "check_cond01_simplex_2d.json": [
+        "check",
+        "--property",
+        "cond01",
+        "fixtures/simplex_2d.json",
+    ],
+    "check_gorenstein_double_simplex_2d.json": [
+        "check",
+        "--property",
+        "gorenstein",
+        "fixtures/double_simplex_2d.json",
+    ],
     "reproduce_example_1_9_3_1.json": [
         "reproduce",
         "example_1_9",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from itertools import product
 
 from . import __version__
 from .covering import has_interior_translate_cover, is_2_convex_normal
@@ -198,26 +199,21 @@ def _run_thm_0_1(rng, config, trial, out):
             out.append(Violation(trial, _verts(P), f"dilate by {d+1} not level", rep))
 
 
-def _heights(m: int, total: int, positive: bool):
-    """All integer height vectors of length m with sum between 1 and total."""
+def _heights(m: int, top: int, positive: bool):
+    """Integer height vectors of length m with entries in [lo, top] (lo = 1 if
+    positive, else 0) and a positive sum, in lexicographic order."""
     lo = 1 if positive else 0
-    def rec(i, left):
-        if i == m:
-            yield ()
-            return
-        for a in range(lo, left + 1):
-            for rest in rec(i + 1, left - a):
-                yield (a,) + rest
-    for h in rec(0, total):
-        if sum(h) >= 1:
-            yield h
+    return (a for a in product(range(lo, top + 1), repeat=m) if sum(a) >= 1)
 
 
 def _run_lemma_1_1(rng, config, trial, out):
     m = rng.randint(2, 3)
     Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(m)]
     C = cayley_sum(Ps)
-    for a in _heights(m, config.dilation_bound, positive=False):
+    total = config.dilation_bound
+    for a in _heights(m, total, positive=False):
+        if sum(a) > total:
+            continue
         got = cayley_slice(C, a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
         want = PointSet(got.ambient_dim, tuple(a + p for p in lattice_points(mink)))
@@ -231,6 +227,8 @@ def _run_lemma_1_2(rng, config, trial, out):
     total = max(config.dilation_bound, m)
     C = cayley_sum(Ps)
     for a in _heights(m, total, positive=True):
+        if sum(a) > total:
+            continue
         inner = interior_lattice_points(dilate(C, sum(a)))
         got = tuple(p for p in inner if p[:m] == a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
@@ -242,9 +240,7 @@ def _run_lemma_1_2(rng, config, trial, out):
 def _tuple_idp_all_dilations(Ps, bound) -> PropertyReport | None:
     """First failing dilated-tuple report with coefficients in [0, bound]."""
     m = len(Ps)
-    for a in _heights(m, m * bound, positive=False):
-        if any(x > bound for x in a):
-            continue
+    for a in _heights(m, bound, positive=False):
         Qs = [dilate(P, x) for P, x in zip(Ps, a) if x > 0]
         rep = is_tuple_idp(Qs)
         if rep.verdict is Verdict.FAILS:
@@ -270,24 +266,28 @@ def _run_thm_0_4_equiv(rng, config, trial, out):
             )
         )
     if left:
-        for a in _heights(2, 2 * config.dilation_bound, positive=False):
-            if any(x > config.dilation_bound for x in a):
-                continue
+        for a in _heights(2, config.dilation_bound, positive=False):
             rep = is_idp(minkowski_sum([dilate(P, x) for P, x in zip(Ps, a) if x > 0]))
             if rep.verdict is not Verdict.HOLDS:
                 out.append(Violation(trial, _verts(*Ps), f"dilated Minkowski sum {a} not IDP", rep))
 
 
-def _run_thm_2_1(rng, config, trial, out):
-    m = rng.randint(2, 3)
+def _collect(rng, config, certified, m) -> list[LatticePolytope] | None:
+    """m polytopes certified by ``certified(rng, config)`` within 20 draws, or None."""
     Ps = []
     for _ in range(20):
-        cand = _certified_2cn(rng, config)
+        cand = certified(rng, config)
         if cand is not None:
             Ps.append(cand)
         if len(Ps) == m:
-            break
-    if len(Ps) < m:
+            return Ps
+    return None
+
+
+def _run_thm_2_1(rng, config, trial, out):
+    m = rng.randint(2, 3)
+    Ps = _collect(rng, config, _certified_2cn, m)
+    if Ps is None:
         return
     rep = is_idp(minkowski_sum(Ps))
     if rep.verdict is not Verdict.HOLDS:
@@ -362,14 +362,8 @@ def _run_prop_3_1(rng, config, trial, out):
 
 
 def _run_thm_3_2(rng, config, trial, out):
-    Ps = []
-    for _ in range(20):
-        cand = _certified_cond01(rng, config)
-        if cand is not None:
-            Ps.append(cand)
-        if len(Ps) == 2:
-            break
-    if len(Ps) < 2:
+    Ps = _collect(rng, config, _certified_cond01, 2)
+    if Ps is None:
         return
     M = minkowski_sum(Ps)
     if level_index(M).index_r != 1:

@@ -1,24 +1,21 @@
-"""Exact deciders for covering a target polytope by lattice translates of a base.
+"""Exact decider for covering a target polytope by lattice translates of a base.
 
-Two independent decision routes are provided.  ``covers`` subtracts translates
-from the target recursively: carving a translate out of a piece along its
-facet halfspaces, one at a time, leaves closed branches whose union is exactly
-the piece minus the translate's region, so the decision is exact in both the
-closed and the relative-interior mode.  ``covers_by_sampling`` classifies one
-sample per arrangement cell and is used to cross-check the subtraction route
-on small inputs.
+``covers`` subtracts translates from the target recursively: carving a
+translate out of a piece along its facet halfspaces, one at a time, leaves
+closed branches whose union is exactly the piece minus the translate's region,
+so the decision is exact in both the closed and the relative-interior mode.
+It is the only covering decider; ``is_2_convex_normal`` and
+``has_interior_translate_cover`` pose their questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
 the target region contains an uncovered lattice point, the lexicographically
 smallest one is reported; otherwise an uncovered piece barycenter found in
-deterministic subtraction order is used.  The sampling route reports the
-lexicographically smallest uncovered sample.
+deterministic subtraction order is used.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .geometry import (
@@ -28,20 +25,20 @@ from .geometry import (
     DualDescription,
     Facet,
     GeometryError,
-    Hyperplane,
     IntVec,
     Mode,
     Scalar,
     Vec,
-    _cut_piece,
-    _Piece,
-    arrangement_sample_points,
+    _piece_edges,
+    _tight_masks,
+    as_fraction,
     barycenter,
     cell_budget,
     contains,
     dot,
     norm_scalar,
     rank,
+    vec_add,
     vec_sub,
 )
 from .polytope import (
@@ -83,9 +80,6 @@ class _Translate:
     shift: IntVec
     carve: tuple[Facet, ...]
     cutting: tuple[Facet, ...]
-
-    def contains_point(self, x: Vec, base: DualDescription, mode: Mode) -> bool:
-        return contains(base, vec_sub(x, self.shift), mode)
 
 
 def _constant_value(normal: IntVec, verts: tuple[Vec, ...]) -> Scalar | None:
@@ -135,6 +129,36 @@ def _classify_translates(q: CoverageQuery) -> list[_Translate]:
 
 # ---------------------------------------------------------------------------
 # the subtraction decider
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """A closed polytope produced by cutting; constraints may be redundant."""
+
+    vertices: tuple[Vec, ...]
+    constraints: tuple[Facet, ...]
+
+
+def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | None, _Piece | None]:
+    """Split a piece along normal.x = offset into (<= side, >= side)."""
+    vals = [norm_scalar(dot(normal, v) - offset) for v in piece.vertices]
+    if all(v >= 0 for v in vals):
+        return None, piece
+    if all(v <= 0 for v in vals):
+        return piece, None
+    masks = _tight_masks(piece.vertices, piece.constraints)
+    crossings: list[Vec] = []
+    for i, j in _piece_edges(piece.vertices, masks):
+        vi, vj = vals[i], vals[j]
+        if (vi > 0 > vj) or (vi < 0 < vj):
+            t = as_fraction(vi) / (as_fraction(vi) - as_fraction(vj))
+            a, b = piece.vertices[i], piece.vertices[j]
+            crossings.append(vec_add(a, tuple(norm_scalar(t * x) for x in vec_sub(b, a))))
+    neg = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val <= 0} | set(crossings)))
+    pos = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val >= 0} | set(crossings)))
+    neg_cons = piece.constraints + ((normal, norm_scalar(offset)),)
+    pos_cons = piece.constraints + ((tuple(-x for x in normal), norm_scalar(-offset)),)
+    return _Piece(neg, neg_cons), _Piece(pos, pos_cons)
 
 
 def _piece_dim(piece: _Piece) -> int:
@@ -225,7 +249,7 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
         b = barycenter(piece.vertices)
         pick = None
         for idx in remaining:
-            if translates[idx].contains_point(b, base, q.mode):
+            if contains(base, vec_sub(b, translates[idx].shift), q.mode):
                 pick = idx
                 break
         if pick is None:
@@ -256,10 +280,6 @@ def _verify_witness(q: CoverageQuery, w: Vec) -> None:
         )
 
 
-def _coverage_report(witness: Vec | None) -> PropertyReport:
-    return PropertyReport("covers", Verdict.HOLDS if witness is None else Verdict.FAILS, witness)
-
-
 def covers(q: CoverageQuery) -> PropertyReport:
     """Decide whether the translates of translate_base cover the target region.
 
@@ -273,41 +293,7 @@ def covers(q: CoverageQuery) -> PropertyReport:
         w = _decide_by_subtraction(q)
     if w is not None:
         _verify_witness(q, w)
-    return _coverage_report(w)
-
-
-def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
-    """Arrangement-cell sampling decider (cross-check route).
-
-    Every facet hyperplane of every translate is thrown into an arrangement
-    restricted to the target; one sample per cell decides coverage, because
-    membership in any translate, open or closed, is constant on each cell, and
-    so is membership in the target region.  Refuses up front when the
-    worst-case cell count exceeds the configured budget.
-    """
-    target = q.target.desc
-    planes: dict[Hyperplane, None] = {}
-    for tr in _classify_translates(q):
-        for normal, c in tr.carve + tr.cutting:
-            planes[Hyperplane.through(normal, c)] = None
-    budget = cell_budget()
-    k = len(planes) + len(target.facets)
-    est = sum(math.comb(k, i) for i in range(min(target.dim, k) + 1))
-    if est > budget:
-        raise CellBudgetExceeded(
-            f"arrangement of {k} hyperplanes admits up to {est} cells, over the "
-            f"budget of {budget}; raise {CELL_BUDGET_ENV} to allow more"
-        )
-    samples = arrangement_sample_points(planes, target)
-    base = q.translate_base.desc
-    shifts = sorted(q.translations)
-    uncovered = [
-        s
-        for s in samples
-        if contains(target, s, q.mode)
-        and not any(contains(base, vec_sub(s, t), q.mode) for t in shifts)
-    ]
-    return _coverage_report(min(uncovered) if uncovered else None)
+    return PropertyReport("covers", Verdict.HOLDS if w is None else Verdict.FAILS, w)
 
 
 def is_2_convex_normal(P: LatticePolytope) -> PropertyReport:

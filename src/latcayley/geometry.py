@@ -43,7 +43,7 @@ class DimensionMismatch(GeometryError):
 
 
 class CellBudgetExceeded(RuntimeError):
-    """An arrangement, covering or lattice point enumeration outgrew the configured budget."""
+    """A covering subtraction or a lattice point enumeration outgrew the configured budget."""
 
 
 class Mode(Enum):
@@ -88,10 +88,6 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(norm_scalar(x - y) for x, y in zip(a, b))
-
-
-def vec_scale(c: Scalar, a: Vec) -> Vec:
-    return tuple(norm_scalar(c * x) for x in a)
 
 
 def barycenter(points) -> Vec:
@@ -251,13 +247,6 @@ class Hyperplane:
             prim = tuple(-x for x in prim)
             off = -off
         return cls(prim, norm_scalar(off))
-
-    def value(self, x: Vec) -> Scalar:
-        return norm_scalar(dot(self.normal, x) - self.offset)
-
-    def side(self, x: Vec) -> int:
-        v = self.value(x)
-        return 0 if v == 0 else (1 if v > 0 else -1)
 
 
 @dataclass(frozen=True)
@@ -477,15 +466,7 @@ def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# hyperplane arrangements: subdivision pieces, faces, samples
-
-
-@dataclass(frozen=True)
-class _Piece:
-    """A closed polytope produced by cutting; constraints may be redundant."""
-
-    vertices: tuple[Vec, ...]
-    constraints: tuple[Facet, ...]
+# edges of a polytope given by its vertices and (possibly redundant) constraints
 
 
 def _tight_masks(verts: tuple[Vec, ...], cons: tuple[Facet, ...]) -> list[int]:
@@ -509,95 +490,3 @@ def _piece_edges(verts: tuple[Vec, ...], masks: list[int]) -> list[tuple[int, in
         if not any(k != i and k != j and (masks[k] & t) == t for k in range(nv)):
             edges.append((i, j))
     return edges
-
-
-def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | None, _Piece | None]:
-    """Split a piece along normal.x = offset into (<= side, >= side)."""
-    vals = [norm_scalar(dot(normal, v) - offset) for v in piece.vertices]
-    if all(v >= 0 for v in vals):
-        return None, piece
-    if all(v <= 0 for v in vals):
-        return piece, None
-    masks = _tight_masks(piece.vertices, piece.constraints)
-    crossings: list[Vec] = []
-    for i, j in _piece_edges(piece.vertices, masks):
-        vi, vj = vals[i], vals[j]
-        if (vi > 0 > vj) or (vi < 0 < vj):
-            t = as_fraction(vi) / (as_fraction(vi) - as_fraction(vj))
-            a, b = piece.vertices[i], piece.vertices[j]
-            crossings.append(vec_add(a, vec_scale(t, vec_sub(b, a))))
-    neg = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val <= 0} | set(crossings)))
-    pos = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val >= 0} | set(crossings)))
-    neg_cons = piece.constraints + ((normal, norm_scalar(offset)),)
-    pos_cons = piece.constraints + ((tuple(-x for x in normal), norm_scalar(-offset)),)
-    return _Piece(neg, neg_cons), _Piece(pos, pos_cons)
-
-
-def _faces(piece: _Piece) -> list[frozenset[int]]:
-    """All nonempty faces of a piece as vertex-index sets (the piece included)."""
-    masks = _tight_masks(piece.vertices, piece.constraints)
-    top = frozenset(range(len(piece.vertices)))
-    seen = {top}
-    queue = [top]
-    out = [top]
-    ncons = len(piece.constraints)
-    while queue:
-        face = queue.pop()
-        for k in range(ncons):
-            child = frozenset(i for i in face if masks[i] & (1 << k))
-            if child and child != face and child not in seen:
-                seen.add(child)
-                queue.append(child)
-                out.append(child)
-    return out
-
-
-def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]:
-    """One exact rational sample in the relative interior of every cell.
-
-    The cells are those of the arrangement of ``hyperplanes`` restricted to the
-    bounded polytope ``within``, refined by the faces of ``within`` itself.  The
-    polytope is subdivided into full-dimensional pieces; each cell of any
-    dimension is the relative interior of exactly one face of some piece, and
-    the vertex barycenter of that face is its sample.  Samples are deduplicated
-    (a sample lies in its own cell, so equal samples mean equal cells) and
-    returned lexicographically sorted.
-
-    Raises CellBudgetExceeded when the subdivision outgrows the configured
-    budget (LATCAYLEY_CELL_BUDGET, default 10**6 cells).
-    """
-    if not within.vertices:
-        raise GeometryError("within must be a bounded nonempty polytope")
-    planes: dict[Hyperplane, None] = {}
-    for h in hyperplanes:
-        if len(h.normal) != within.ambient_dim:
-            raise DimensionMismatch("hyperplane ambient dimension disagrees with within")
-        planes[h] = None
-    budget = cell_budget()
-    pieces = [_Piece(within.vertices, within.facets)]
-    for h in planes:
-        nxt: list[_Piece] = []
-        for piece in pieces:
-            neg, pos = _cut_piece(piece, h.normal, h.offset)
-            if neg is not None:
-                nxt.append(neg)
-            if pos is not None:
-                nxt.append(pos)
-            if len(nxt) > budget:
-                raise CellBudgetExceeded(
-                    f"arrangement subdivision exceeded {budget} pieces; "
-                    f"raise {CELL_BUDGET_ENV} to allow more"
-                )
-        pieces = nxt
-    samples: dict[Vec, None] = {}
-    seen_cells = 0
-    for piece in pieces:
-        for face in _faces(piece):
-            seen_cells += 1
-            if seen_cells > budget:
-                raise CellBudgetExceeded(
-                    f"arrangement produced more than {budget} candidate cells; "
-                    f"raise {CELL_BUDGET_ENV} to allow more"
-                )
-            samples[barycenter([piece.vertices[i] for i in face])] = None
-    return sorted(samples)

@@ -128,9 +128,12 @@ def is_idp(P: LatticePolytope, max_degree: int | None = None) -> PropertyReport:
     Scans n = 2 .. D, comparing nP cap Z against (n-1)P cap Z + P cap Z.
     Under the default D = max(2, dim(P)-1) a Holds verdict is a certificate
     for all degrees; a caller-supplied smaller bound weakens it to exactly the
-    range recorded in degrees_checked.
+    range recorded in degrees_checked.  A bound below 2 leaves no degree to
+    check, so it is refused rather than certified.
     """
     D = max_degree if max_degree is not None else max(2, P.dim - 1)
+    if D < 2:
+        raise GeometryError("max_degree must be at least 2, the first degree checked")
     gens = lattice_points(P)
     prev = gens
     for n in range(2, D + 1):

@@ -1,5 +1,11 @@
-"""Covering deciders: translate covers in closed and relative-interior mode."""
+"""Covering deciders: translate covers in closed and relative-interior mode.
 
+``covers_by_sampling`` is the reference oracle: it classifies one sample per
+cell of the arrangement of every translate's facet hyperplanes, an approach
+independent of the subtraction route that ``covers`` takes.
+"""
+
+import math
 import random
 
 import pytest
@@ -14,7 +20,6 @@ from latcayley import (
     PropertyReport,
     Verdict,
     covers,
-    covers_by_sampling,
     dilate,
     from_vertices,
     has_interior_translate_cover,
@@ -24,7 +29,21 @@ from latcayley import (
     random_lattice_polytope,
     translate,
 )
-from latcayley.geometry import CELL_BUDGET_ENV, Mode, contains, dot
+from latcayley.covering import _classify_translates, _cut_piece, _Piece
+from latcayley.geometry import (
+    CELL_BUDGET_ENV,
+    DualDescription,
+    Hyperplane,
+    Mode,
+    Vec,
+    _tight_masks,
+    barycenter,
+    cell_budget,
+    contains,
+    convex_hull,
+    dot,
+    vec_sub,
+)
 
 from conftest import load_fixture
 
@@ -50,6 +69,139 @@ def assert_witness_sound(q: CoverageQuery, res: PropertyReport):
     for t in q.translations.points:
         shifted = translate(q.translate_base, t)
         assert not contains(shifted.desc, res.witness, tmode)
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: one sample per arrangement cell
+
+
+def _faces(piece: _Piece) -> list[frozenset[int]]:
+    """All nonempty faces of a piece as vertex-index sets (the piece included)."""
+    masks = _tight_masks(piece.vertices, piece.constraints)
+    top = frozenset(range(len(piece.vertices)))
+    seen = {top}
+    queue = [top]
+    out = [top]
+    ncons = len(piece.constraints)
+    while queue:
+        face = queue.pop()
+        for k in range(ncons):
+            child = frozenset(i for i in face if masks[i] & (1 << k))
+            if child and child != face and child not in seen:
+                seen.add(child)
+                queue.append(child)
+                out.append(child)
+    return out
+
+
+def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]:
+    """One exact rational sample in the relative interior of every cell.
+
+    The cells are those of the arrangement of ``hyperplanes`` restricted to the
+    bounded polytope ``within``, refined by the faces of ``within`` itself.  The
+    polytope is subdivided into full-dimensional pieces; each cell of any
+    dimension is the relative interior of exactly one face of some piece, and
+    the vertex barycenter of that face is its sample.  Samples are deduplicated
+    (a sample lies in its own cell, so equal samples mean equal cells) and
+    returned lexicographically sorted.
+
+    Raises CellBudgetExceeded when the subdivision outgrows the configured
+    budget (LATCAYLEY_CELL_BUDGET, default 10**6 cells).
+    """
+    if not within.vertices:
+        raise GeometryError("within must be a bounded nonempty polytope")
+    planes: dict[Hyperplane, None] = {}
+    for h in hyperplanes:
+        if len(h.normal) != within.ambient_dim:
+            raise DimensionMismatch("hyperplane ambient dimension disagrees with within")
+        planes[h] = None
+    budget = cell_budget()
+    pieces = [_Piece(within.vertices, within.facets)]
+    for h in planes:
+        nxt: list[_Piece] = []
+        for piece in pieces:
+            neg, pos = _cut_piece(piece, h.normal, h.offset)
+            if neg is not None:
+                nxt.append(neg)
+            if pos is not None:
+                nxt.append(pos)
+            if len(nxt) > budget:
+                raise CellBudgetExceeded(
+                    f"arrangement subdivision exceeded {budget} pieces; "
+                    f"raise {CELL_BUDGET_ENV} to allow more"
+                )
+        pieces = nxt
+    samples: dict[Vec, None] = {}
+    seen_cells = 0
+    for piece in pieces:
+        for face in _faces(piece):
+            seen_cells += 1
+            if seen_cells > budget:
+                raise CellBudgetExceeded(
+                    f"arrangement produced more than {budget} candidate cells; "
+                    f"raise {CELL_BUDGET_ENV} to allow more"
+                )
+            samples[barycenter([piece.vertices[i] for i in face])] = None
+    return sorted(samples)
+
+
+def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
+    """Arrangement-cell sampling decider (cross-check route).
+
+    Every facet hyperplane of every translate is thrown into an arrangement
+    restricted to the target; one sample per cell decides coverage, because
+    membership in any translate, open or closed, is constant on each cell, and
+    so is membership in the target region.  Refuses up front when the
+    worst-case cell count exceeds the configured budget.
+    """
+    target = q.target.desc
+    planes: dict[Hyperplane, None] = {}
+    for tr in _classify_translates(q):
+        for normal, c in tr.carve + tr.cutting:
+            planes[Hyperplane.through(normal, c)] = None
+    budget = cell_budget()
+    k = len(planes) + len(target.facets)
+    est = sum(math.comb(k, i) for i in range(min(target.dim, k) + 1))
+    if est > budget:
+        raise CellBudgetExceeded(
+            f"arrangement of {k} hyperplanes admits up to {est} cells, over the "
+            f"budget of {budget}; raise {CELL_BUDGET_ENV} to allow more"
+        )
+    samples = arrangement_sample_points(planes, target)
+    base = q.translate_base.desc
+    shifts = sorted(q.translations)
+    uncovered = [
+        s
+        for s in samples
+        if contains(target, s, q.mode)
+        and not any(contains(base, vec_sub(s, t), q.mode) for t in shifts)
+    ]
+    w = min(uncovered) if uncovered else None
+    return PropertyReport("covers", Verdict.HOLDS if w is None else Verdict.FAILS, w)
+
+
+def test_arrangement_samples_hit_every_membership_pattern():
+    # one vertical plane splitting a square: expect samples on both sides
+    # and on the plane itself
+    box = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
+    plane = Hyperplane(normal=(1, 0), offset=1)
+    samples = arrangement_sample_points([plane], box)
+    signs = {
+        (dot(plane.normal, s) > plane.offset) - (dot(plane.normal, s) < plane.offset)
+        for s in samples
+    }
+    assert signs == {-1, 0, 1}
+    for s in samples:
+        assert contains(box, s)
+
+
+def test_arrangement_samples_within_lower_dimensional_region():
+    seg = convex_hull([(0, 0), (4, 0)])
+    plane = Hyperplane(normal=(1, 0), offset=2)
+    samples = arrangement_sample_points([plane], seg)
+    assert any(dot(plane.normal, s) < 2 for s in samples)
+    assert any(dot(plane.normal, s) == 2 for s in samples)
+    assert any(dot(plane.normal, s) > 2 for s in samples)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +366,6 @@ def test_closed_failure_has_full_dimensional_cell(reeve):
     """A closed-mode failure leaves a full-dimensional uncovered cell: some
     uncovered sample sits strictly off every hyperplane, and a second point
     of the same cell is uncovered as well."""
-    from latcayley import arrangement_sample_points
-    from latcayley.geometry import Hyperplane
-
     q = query(dilate(reeve, 2), reeve, lattice_points(reeve).points)
     assert covers_by_sampling(q).verdict is Verdict.FAILS
     planes = []

@@ -1,4 +1,4 @@
-"""Exact-arithmetic core: hulls, dual descriptions, arrangements."""
+"""Exact-arithmetic core: hulls, dual descriptions, linear algebra."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,6 @@ from latcayley import (
     DualDescription,
     GeometryError,
     Hyperplane,
-    arrangement_sample_points,
     convex_hull,
     contains,
     from_vertices,
@@ -252,30 +251,6 @@ def test_contains_closed_and_relative_interior():
     s = convex_hull([(0, 0), (0, 2)])
     assert contains(s, (0, 1), Mode.RELATIVE_INTERIOR)
     assert not contains(s, (0, 0), Mode.RELATIVE_INTERIOR)
-
-
-def test_arrangement_samples_hit_every_membership_pattern():
-    # one vertical plane splitting a square: expect samples on both sides
-    # and on the plane itself
-    box = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    plane = Hyperplane(normal=(1, 0), offset=1)
-    samples = arrangement_sample_points([plane], box)
-    signs = {
-        (dot(plane.normal, s) > plane.offset) - (dot(plane.normal, s) < plane.offset)
-        for s in samples
-    }
-    assert signs == {-1, 0, 1}
-    for s in samples:
-        assert contains(box, s)
-
-
-def test_arrangement_samples_within_lower_dimensional_region():
-    seg = convex_hull([(0, 0), (4, 0)])
-    plane = Hyperplane(normal=(1, 0), offset=2)
-    samples = arrangement_sample_points([plane], seg)
-    assert any(dot(plane.normal, s) < 2 for s in samples)
-    assert any(dot(plane.normal, s) == 2 for s in samples)
-    assert any(dot(plane.normal, s) > 2 for s in samples)
 
 
 def test_cell_budget_env_override(monkeypatch):

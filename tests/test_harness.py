@@ -1,6 +1,8 @@
 """Polytope files, the random generator, campaigns, reproduction, and the CLI."""
 
+import ast
 import json
+import sys
 
 import pytest
 
@@ -291,6 +293,14 @@ def test_cli_check_exits_2_past_enumeration_budget(monkeypatch, capsys, cold_enu
     assert CELL_BUDGET_ENV in capsys.readouterr().err
 
 
+def test_cli_idp_refuses_max_degree_below_2(capsys):
+    # reeve_4 fails IDP at degree 2, so a range ending at 1 certifies nothing
+    argv = ["check", fixture_arg("reeve_4"), "--property", "idp"]
+    assert main(argv + ["--max-degree", "1"]) == 2
+    assert "max_degree" in capsys.readouterr().err
+    assert main(argv + ["--max-degree", "2"]) == 1
+
+
 def test_random_rejects_negative_coord_bound(tmp_path, capsys):
     with pytest.raises(GeometryError):
         random_lattice_polytope(0, 2, 2, coord_bound=-1)
@@ -338,6 +348,12 @@ def test_cli_reports_match_golden(tmp_path, monkeypatch, capsys, golden_name):
     )
 
 
+def test_goldens_cover_every_check_property():
+    cases = load_golden_script().CASES.values()
+    pinned = {argv[argv.index("--property") + 1] for argv in cases if argv[0] == "check"}
+    assert pinned == set(CHECKS)
+
+
 def test_cli_report_deterministic_apart_from_timestamp(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["check", "--property", "gorenstein", fixture_arg("unit_square")]
@@ -346,3 +362,28 @@ def test_cli_report_deterministic_apart_from_timestamp(tmp_path, capsys):
     main(argv + ["--out", str(b), "--format", "json"])
     assert capsys.readouterr().out == b.read_text(encoding="utf-8")
     assert without_timestamp(read_json(a)) == without_timestamp(read_json(b))
+
+
+# ---------------------------------------------------------------------------
+# packaging
+
+
+def test_library_imports_only_the_standard_library():
+    # the package declares no runtime dependency, so every absolute import in
+    # its sources must resolve to a standard library module
+    src = FIXTURES.parent / "src" / "latcayley"
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [
+                f"{path.name}:{node.lineno}: {n}"
+                for n in names
+                if n.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert outside == []

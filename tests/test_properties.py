@@ -103,8 +103,9 @@ def test_idp_respects_max_degree(reeve):
     rep = is_idp(reeve, max_degree=5)
     assert rep.verdict is Verdict.FAILS
     assert rep.degrees_checked[0] == 2
-    # a bound below the first checkable degree leaves nothing to refute
-    assert is_idp(reeve, max_degree=1).verdict is Verdict.HOLDS
+    # a bound below the first checkable degree leaves nothing to check
+    with pytest.raises(GeometryError):
+        is_idp(reeve, max_degree=1)
 
 
 def test_idp_translation_invariant(reeve, unit_square):
