@@ -311,8 +311,6 @@ def _run_lemma_2_2(rng, config, trial, out):
     P = _poly(rng, d, bound)
     hi = d + 2 if d <= 2 else d
     for n in range(d, hi + 1):
-        if n < 1:
-            continue
         res = is_2_convex_normal(dilate(P, n))
         if res.verdict is Verdict.FAILS:
             out.append(

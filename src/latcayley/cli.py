@@ -37,17 +37,18 @@ from .properties import (
 )
 from .reproduce import EXAMPLE_NAMES, reproduce_example
 
-# property name -> (number of polytope files, or None for any, decider).  The
-# deciders are looked up at call time, so rebinding a module attribute (as a
-# tracer does) reaches calls made through this table.
+# property name -> (number of polytope files or None for any, the bound flag
+# its decider takes or None, decider of (polytopes, bound)).  The deciders are
+# looked up at call time, so rebinding a module attribute (as a tracer does)
+# reaches calls made through this table.
 CHECKS = {
-    "idp": (1, lambda Ps, a: is_idp(Ps[0], a.max_degree)),
-    "tuple-idp": (None, lambda Ps, a: is_tuple_idp(Ps)),
-    "2cn": (1, lambda Ps, a: is_2_convex_normal(Ps[0])),
-    "cond01": (1, lambda Ps, a: has_interior_translate_cover(Ps[0])),
-    "level": (1, lambda Ps, a: level_status(Ps[0], a.horizon)),
-    "gorenstein": (1, lambda Ps, a: is_gorenstein(Ps[0], a.horizon)),
-    "edge-criterion": (1, lambda Ps, a: edge_length_criterion(Ps[0])),
+    "idp": (1, "max_degree", lambda Ps, b: is_idp(Ps[0], b)),
+    "tuple-idp": (None, None, lambda Ps, b: is_tuple_idp(Ps)),
+    "2cn": (1, None, lambda Ps, b: is_2_convex_normal(Ps[0])),
+    "cond01": (1, None, lambda Ps, b: has_interior_translate_cover(Ps[0])),
+    "level": (1, "horizon", lambda Ps, b: level_status(Ps[0], b)),
+    "gorenstein": (1, "horizon", lambda Ps, b: is_gorenstein(Ps[0], b)),
+    "edge-criterion": (1, None, lambda Ps, b: edge_length_criterion(Ps[0])),
 }
 
 # the covering properties print their verdicts as covered / not-covered
@@ -85,12 +86,15 @@ def _emit(args, doc: dict, text_lines: list[str]) -> None:
 
 
 def _run_check(args) -> int:
-    Ps = [load_polytope(p) for p in args.paths]
     prop = args.property
-    files, decide = CHECKS[prop]
+    files, bound, decide = CHECKS[prop]
+    for flag in ("max_degree", "horizon"):
+        if flag != bound and getattr(args, flag) is not None:
+            raise UsageError(f"property {prop} takes no --{flag.replace('_', '-')}")
+    Ps = [load_polytope(p) for p in args.paths]
     if files is not None and len(Ps) != files:
         raise UsageError(f"property {prop} takes exactly one polytope file")
-    rep = decide(Ps, args)
+    rep = decide(Ps, getattr(args, bound) if bound else None)
     doc = rep.to_dict()
     if prop in ("2cn", "cond01"):
         doc["verdict"] = _COVER_WORDS[doc["verdict"]]

@@ -5,10 +5,12 @@ floating point, so every predicate is a decision, not an estimate.  All public
 objects are immutable and all functions are pure, so they are safe to call
 concurrently.
 
+All linear algebra (rank, kernels, affine hulls, facet normals) goes through
+one fraction-free Gauss-Jordan elimination over the integers, ``_echelon``.
 Convex hulls are built in exact integer arithmetic by beneath-beyond
 insertion: the points are scaled once to integers, and the hull boundary is
-kept as a set of simplices whose outward normals are signed maximal minors,
-computed by fraction-free (Bareiss) elimination.  A point is inserted only when
+kept as a set of simplices whose outward normals span the kernel of their
+edge vectors and the equality normals.  A point is inserted only when
 it lies strictly beyond some simplex, so it is never in the affine span of a
 ridge it is joined to, and no degenerate simplex can arise.  Planar hulls use
 a monotone chain instead.
@@ -125,85 +127,68 @@ def _lex_sign(v: IntVec) -> int:
 # exact Gaussian elimination
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
-    mat = [list(map(as_fraction, r)) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[: len(pivots)], pivots
+def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of a rational matrix.
 
-
-def _bareiss(mat: list[list[int]]) -> tuple[int, int]:
-    """Fraction-free row echelon pass (Bareiss, 1968) over an integer matrix, in place.
-
-    Returns (rank, determinant); the determinant is 0 unless the matrix is
-    square and nonsingular.  Every entry stays an integer minor of the input,
-    so each division is exact.
+    Each row is cleared of denominators, then every pivot is eliminated from
+    all other rows over the integers, and each new row is divided by its gcd
+    (a fraction-free scheme in the spirit of Bareiss, 1968).  Returns the
+    nonzero reduced rows, each primitive with a positive pivot, and their
+    pivot columns.  Each row is the RREF row scaled by a positive integer, so
+    the result is canonical for the row space.
     """
-    nrows = len(mat)
-    ncols = len(mat[0]) if mat else 0
-    r, sign, prev = 0, 1, 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        p = next((i for i in range(r, nrows) if mat[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            mat[r], mat[p] = mat[p], mat[r]
-            sign = -sign
-        top = mat[r]
-        a = top[c]
-        for i in range(r + 1, nrows):
-            b = mat[i][c]
-            mat[i] = [(a * x - b * y) // prev for x, y in zip(mat[i], top)]
-        prev = a
-        r += 1
-    return r, (sign * prev if r == nrows == ncols else 0)
-
-
-def rank(rows: list[Vec]) -> int:
-    """Rank over the rationals, fraction-free: each row is scaled by the lcm of
-    its denominators, then the rows are eliminated over the integers."""
     mat = []
     for row in rows:
         d = math.lcm(*(x.denominator for x in row))
         mat.append([x.numerator * (d // x.denominator) for x in row])
-    return _bareiss(mat)[0]
+    ncols = len(mat[0]) if mat else 0
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if p is None:
+            continue
+        top = mat[p]
+        g = math.gcd(*top) if top[c] > 0 else -math.gcd(*top)
+        top = [x // g for x in top]
+        mat[p] = mat[r]
+        mat[r] = top
+        for i, row in enumerate(mat):
+            b = row[c]
+            if b and i != r:
+                new = [top[c] * x - b * y for x, y in zip(row, top)]
+                g = math.gcd(*new)
+                mat[i] = [x // g for x in new] if g else new
+        pivots.append(c)
+        if len(pivots) == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+def rank(rows: list[Vec]) -> int:
+    """Rank over the rationals."""
+    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: list[Vec], ncols: int) -> list[IntVec]:
-    """Canonical primitive integer basis of {v : row . v = 0 for all rows}."""
-    red, pivots = rref([list(r) for r in rows])
-    free = [c for c in range(ncols) if c not in pivots]
+    """Canonical primitive integer basis of {v : row . v = 0 for all rows}.
+
+    One vector per free column f: x_f = L, the lcm of the pivots, the other
+    free coordinates 0, and each pivot coordinate solved from its reduced
+    row; the vector is then made primitive and lexicographically positive.
+    """
+    red, pivots = _echelon(rows)
+    lcm = math.lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        w = primitive(tuple(v))
-        if _lex_sign(w) < 0:
-            w = tuple(-x for x in w)
-        basis.append(w)
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = lcm
+        for row, p in zip(red, pivots):
+            v[p] = -row[f] * (lcm // row[p])
+        g = math.gcd(*v) * _lex_sign(v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
@@ -302,27 +287,17 @@ def _validate_points(points) -> list[Vec]:
 def affine_hull(points) -> tuple[int, tuple[Hyperplane, ...]]:
     """Dimension and canonical cutting hyperplanes of the affine hull.
 
-    The equalities come from the RREF of the orthogonal complement of the
-    direction space, so the same affine subspace always yields the same tuple
-    regardless of input order or redundancy.
+    The equality normals are the reduced echelon rows of the orthogonal
+    complement of the direction space, so the same affine subspace always
+    yields the same tuple regardless of input order or redundancy.
     """
     pts = _validate_points(points)
     n = len(pts[0])
     base = pts[0]
-    diffs = [vec_sub(p, base) for p in pts[1:]]
-    if rank(diffs) == n:
-        return n, ()
-    red, pivots = rref([list(d) for d in diffs])
-    dim = len(pivots)
-    normals = nullspace([tuple(r) for r in red] if red else [], n)
-    rows = [[as_fraction(x) for x in a] + [as_fraction(dot(a, base))] for a in normals]
-    red2, _ = rref(rows)
-    eqs = []
-    for row in red2:
-        h = Hyperplane.through(tuple(row[:n]), row[n])
-        eqs.append(h)
-    eqs.sort(key=lambda h: (h.normal, as_fraction(h.offset)))
-    return dim, tuple(eqs)
+    normals = nullspace([vec_sub(p, base) for p in pts[1:]], n)
+    red, _ = _echelon(normals)
+    eqs = sorted((Hyperplane(tuple(row), dot(row, base)) for row in red), key=lambda h: h.normal)
+    return n - len(normals), tuple(eqs)
 
 
 def dimension(points) -> int:
@@ -362,9 +337,9 @@ def _beneath_beyond(
     """Simplicial boundary of conv(pts) for distinct integer points of affine dimension dim >= 1.
 
     Maps the sorted corner indices of each boundary simplex to its outward
-    primitive normal u and offset c (u.x <= c on the hull).  The normal is the
-    vector of signed maximal minors of the simplex's edge vectors stacked on
-    the equality normals, so it lies in the direction space of the affine hull.
+    primitive normal u and offset c (u.x <= c on the hull).  The normal spans
+    the one-dimensional kernel of the simplex's edge vectors stacked on the
+    equality normals, so it lies in the direction space of the affine hull.
     """
     simplex = [0]
     edges: list[list[int]] = []
@@ -383,12 +358,11 @@ def _beneath_beyond(
     def facet(corners: tuple[int, ...]) -> tuple[IntVec, int]:
         p0 = pts[corners[0]]
         rows = [[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_rows
-        u = [(-1) ** j * _bareiss([r[:j] + r[j + 1:] for r in rows])[1] for j in range(n)]
+        (u,) = nullspace(rows, n)
         c = dot(u, p0)
-        g = math.gcd(*u)
         if dot(u, inner) > (dim + 1) * c:
-            g = -g
-        return tuple(x // g for x in u), c // g
+            return tuple(-x for x in u), -c
+        return u, c
 
     boundary = {}
     for j in range(dim + 1):
@@ -421,10 +395,11 @@ def convex_hull(points) -> DualDescription:
     is scaled by the lcm L of its denominators and built by beneath-beyond
     insertion in exact integers: a point joins the hull only when it lies
     strictly beyond some boundary simplex, and is then coned to the horizon
-    ridges (those shared by exactly one visible simplex).  Because the point
-    is strictly off the hyperplane of the visible simplex, it is off the
-    affine span of every ridge of it, so coplanar points never make a
-    degenerate simplex.  Coplanar simplices are merged by (normal, offset), the
+    ridges (those shared by exactly one visible simplex); each new simplex's
+    normal is the one kernel vector of its edges and the equality normals.
+    Because the point is strictly off the hyperplane of the visible simplex,
+    it is off the affine span of every ridge of it, so coplanar points never
+    make a degenerate simplex.  Coplanar simplices are merged by (normal, offset), the
     offsets divided by L, and a simplex corner is a vertex iff its tight
     facet normals and the equality normals have full rank.
     """

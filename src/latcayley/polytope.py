@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .geometry import (
@@ -187,10 +186,11 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
 
     Coordinates are fixed in order.  Level k holds the rows of the projection
     pi_k(P) onto coordinates 0..k (the hull of the projected vertices; level
-    n-1 is P itself) whose k-th coefficient is nonzero.  A facet u.x <= c with
-    c = a/s in lowest terms becomes the integer row s*u.x <= a, and in
-    relative-interior mode s*u.x <= a - 1, which over the integers is exactly
-    u.x < c.  Each equality becomes two rows.
+    n-1 is P itself) whose k-th coefficient is nonzero.  Every offset c is an
+    integer (an integer normal dotted with an integer vertex), so a facet
+    u.x <= c is kept as is, and in relative-interior mode it becomes
+    u.x <= c - 1, which over the integers is exactly u.x < c.  Each equality
+    becomes two rows.
 
     By induction every prefix accepted at level k lies in pi_k(P), or in
     relint pi_k(P) = pi_k(relint P) (Rockafellar, Convex Analysis, Thm 6.6).
@@ -213,15 +213,12 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     for k in range(n - 1, -1, -1):
         if k < n - 1:
             proj = convex_hull({v[: k + 1] for v in proj.vertices})
-        rows = [(u, Fraction(c), strict) for u, c in proj.facets]
+        rows = [(u, c - strict) for u, c in proj.facets]
         for h in proj.equalities:
-            c = Fraction(h.offset)
-            rows += [(h.normal, c, 0), (tuple(-x for x in h.normal), -c, 0)]
-        for u, c, shift in rows:
+            rows += [(h.normal, h.offset), (tuple(-x for x in h.normal), -h.offset)]
+        for u, c in rows:
             if u[k]:
-                s = c.denominator
-                row = (tuple(s * x for x in u[:k]), s * abs(u[k]), c.numerator - shift)
-                levels[k][u[k] < 0].append(row)
+                levels[k][u[k] < 0].append((u[:k], abs(u[k]), c))
     budget = cell_budget()
     out: list[IntVec] = []
 

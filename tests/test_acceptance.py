@@ -10,8 +10,6 @@ with a passing test means the expectation, not the code, is wrong.
 import math
 import time
 
-import pytest
-
 from latcayley import (
     CampaignConfig,
     CoverageQuery,
@@ -26,7 +24,6 @@ from latcayley import (
     has_interior_translate_cover,
     interior_lattice_points,
     is_2_convex_normal,
-    is_gorenstein,
     is_idp,
     is_tuple_idp,
     lattice_points,

@@ -45,8 +45,6 @@ from latcayley.geometry import (
     vec_sub,
 )
 
-from conftest import load_fixture
-
 
 def P(*verts):
     return from_vertices(verts)

@@ -27,7 +27,6 @@ from latcayley.geometry import (
     nullspace,
     primitive,
     rank,
-    rref,
     vec_sub,
 )
 
@@ -130,6 +129,69 @@ def test_dual_description_invariants_random(pts):
 
 
 # ---------------------------------------------------------------------------
+# reference linear algebra: Gauss-Jordan over Fractions
+
+
+def rref(rows):
+    """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
+    mat = [[Fraction(x) for x in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[: len(pivots)], pivots
+
+
+def _reference_nullspace(rows, ncols):
+    red, pivots = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        w = primitive(tuple(v))
+        if next(x for x in w if x) < 0:
+            w = tuple(-x for x in w)
+        basis.append(w)
+    return basis
+
+
+def _reference_affine_hull(points):
+    pts = [tuple(p) for p in points]
+    n = len(pts[0])
+    base = pts[0]
+    red, pivots = rref([vec_sub(p, base) for p in pts[1:]])
+    normals = _reference_nullspace(red, n)
+    red2, _ = rref([list(a) + [dot(a, base)] for a in normals])
+    eqs = sorted((Hyperplane.through(tuple(row[:n]), row[n]) for row in red2),
+                 key=lambda h: (h.normal, Fraction(h.offset)))
+    return len(pivots), tuple(eqs)
+
+
+def _reference_rank(rows):
+    return len(rref(rows)[1])
+
+
+# ---------------------------------------------------------------------------
 # reference hull: every dim-subset of the candidates, one Fraction nullspace each
 
 
@@ -140,7 +202,7 @@ def _brute_facets(cand, dim, eq_normals, n):
         s0 = cand[subset[0]]
         rows = [vec_sub(cand[i], s0) for i in subset[1:]]
         rows.extend(eq_rows)
-        ns = nullspace(rows, n)
+        ns = _reference_nullspace(rows, n)
         if len(ns) != 1:
             continue
         u = ns[0]
@@ -157,14 +219,14 @@ def _brute_facets(cand, dim, eq_normals, n):
 def _reference_hull(points):
     cand = sorted(set(map(tuple, points)))
     n = len(cand[0])
-    dim, eqs = affine_hull(cand)
+    dim, eqs = _reference_affine_hull(cand)
     if dim == 0:
         return DualDescription(n, 0, (cand[0],), (), eqs)
     eq_normals = [h.normal for h in eqs]
     facets = _brute_facets(cand, dim, eq_normals, n)
     verts = [
         p for p in cand
-        if rank([u for u, c in facets if dot(u, p) == c] + eq_normals) == n
+        if _reference_rank([u for u, c in facets if dot(u, p) == c] + eq_normals) == n
     ]
     return DualDescription(n, dim, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
 
@@ -232,6 +294,42 @@ def test_rank_matches_rref_pivot_count_explicit(rows):
 @given(st.integers(0, 5).flatmap(lambda c: st.lists(st.lists(_entries, min_size=c, max_size=c), max_size=6)))
 def test_rank_matches_rref_pivot_count(rows):
     assert rank(rows) == len(rref(rows)[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 6).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.lists(_entries, min_size=c, max_size=c), max_size=6))
+    ),
+    st.booleans(),
+)
+def test_nullspace_matches_rref_reference(shape, dependent):
+    ncols, rows = shape
+    if dependent and len(rows) >= 2:
+        rows = rows + [[x - 2 * y for x, y in zip(rows[0], rows[1])]]
+    assert nullspace(rows, ncols) == _reference_nullspace(rows, ncols)
+
+
+@st.composite
+def _affine_inputs(draw):
+    """Points in a random affine subspace of dimension 0-n of Q^n, n = 0-6, with
+    rational coordinates, integral ones collapsed to ints, and duplicates."""
+    n = draw(st.integers(0, 6))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    base = draw(st.tuples(*[coord] * n))
+    gens = draw(st.lists(st.tuples(*[coord] * n), max_size=n))
+    coefs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(gens)), min_size=1, max_size=8))
+    pts = [
+        tuple(norm_scalar(b + sum(c * g[i] for c, g in zip(cs, gens))) for i, b in enumerate(base))
+        for cs in coefs
+    ]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_inputs())
+def test_affine_hull_matches_rref_reference(pts):
+    assert affine_hull(pts) == _reference_affine_hull(pts)
 
 
 def test_is_integer_vec_rejects_bool():

@@ -11,7 +11,6 @@ from latcayley import (
     GeometryError,
     PolytopeFileError,
     dilate,
-    from_vertices,
     load_polytope,
     minkowski_sum,
     random_lattice_polytope,
@@ -301,6 +300,20 @@ def test_cli_idp_refuses_max_degree_below_2(capsys):
     assert main(argv + ["--max-degree", "2"]) == 1
 
 
+@pytest.mark.parametrize(
+    "prop, flag",
+    [(p, f) for p, (_, bound, _) in CHECKS.items() for f in ("max_degree", "horizon") if f != bound],
+)
+def test_cli_check_refuses_a_bound_its_property_does_not_take(prop, flag, capsys):
+    # a bound given to the wrong property would be dropped while the report's
+    # config still records it
+    pair = [fixture_arg("ex19_p1"), fixture_arg("ex19_p2")]
+    paths = pair if prop == "tuple-idp" else [fixture_arg("unit_square")]
+    option = "--" + flag.replace("_", "-")
+    assert main(["check", *paths, "--property", prop, option, "3"]) == 2
+    assert option in capsys.readouterr().err
+
+
 def test_random_rejects_negative_coord_bound(tmp_path, capsys):
     with pytest.raises(GeometryError):
         random_lattice_polytope(0, 2, 2, coord_bound=-1)
@@ -387,3 +400,24 @@ def test_library_imports_only_the_standard_library():
                 if n.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_no_unused_imports():
+    # every name imported by a library or test module is used there; names
+    # re-exported through __all__ and ``from __future__ import annotations``
+    # count as used
+    root = FIXTURES.parent
+    unused = []
+    for path in sorted([*(root / "src" / "latcayley").glob("*.py"), *(root / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        used = {"annotations"}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(e.value for e in node.value.elts)
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -27,7 +27,7 @@ from latcayley import (
 )
 from latcayley.geometry import CELL_BUDGET_ENV, Mode, contains, dot
 
-from conftest import load_fixture, seg
+from conftest import seg
 
 
 def P(*verts):

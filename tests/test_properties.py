@@ -36,8 +36,6 @@ from latcayley import (
 from latcayley.covering import _lattice_witness
 from latcayley.geometry import Mode, contains, vec_sub
 
-from conftest import load_fixture
-
 
 def P(*verts):
     return from_vertices(verts)
