@@ -6,9 +6,9 @@ Subcommands: ``check`` (property deciders on polytope files), ``construct``
 campaigns), ``random`` (seeded instance generation).
 
 Exit codes: 0 when the property holds / is verified / is covered, 1 when it
-fails or a campaign records violations, 2 for usage errors.  ``--format``
-controls stdout; ``--out`` always writes the machine-readable JSON report,
-which is byte-stable apart from its timestamp field.
+fails or a campaign records violations, 2 for usage, file and budget errors.
+``--format`` controls stdout; ``--out`` always writes the machine-readable
+JSON report, which is byte-stable apart from its timestamp field.
 """
 
 from __future__ import annotations
@@ -268,7 +268,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, PolytopeFileError, GeometryError, CellBudgetExceeded) as e:
+    # an OSError here is a failed write: load_polytope turns read errors into
+    # PolytopeFileError
+    except (UsageError, PolytopeFileError, GeometryError, CellBudgetExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

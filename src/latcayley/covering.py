@@ -1,11 +1,15 @@
 """Exact decider for covering a target polytope by lattice translates of a base.
 
-``covers`` subtracts translates from the target recursively: carving a
-translate out of a piece along its facet halfspaces, one at a time, leaves
-closed branches whose union is exactly the piece minus the translate's region,
-so the decision is exact in both the closed and the relative-interior mode.
-It is the only covering decider; ``is_2_convex_normal`` and
-``has_interior_translate_cover`` pose their questions through it.
+``covers`` subtracts translates from the target recursively.  The translates
+are classified once against the target into one table: shared rows of
+normals, and one row of offsets per translate.  A piece's barycenter is
+evaluated on those normals once, and the first remaining translate whose
+offsets accept it is carved out of the piece along its facet halfspaces, one
+at a time.  That leaves closed branches whose union is exactly the piece
+minus the translate's region, so the decision is exact in both the closed
+and the relative-interior mode.  It is the only covering decider;
+``is_2_convex_normal`` and ``has_interior_translate_cover`` pose their
+questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
@@ -16,13 +20,13 @@ deterministic subtraction order is used.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 from .geometry import (
     CELL_BUDGET_ENV,
     CellBudgetExceeded,
     DimensionMismatch,
-    DualDescription,
     Facet,
     GeometryError,
     IntVec,
@@ -37,7 +41,6 @@ from .geometry import (
     contains,
     dot,
     norm_scalar,
-    rank,
     vec_add,
     vec_sub,
 )
@@ -67,19 +70,7 @@ class CoverageQuery:
 
 
 # ---------------------------------------------------------------------------
-# translate constraint systems
-
-
-@dataclass(frozen=True)
-class _Translate:
-    """One translate of the base, with its constraints classified against the
-    target: ``carve`` lists the facet inequalities that genuinely vary on the
-    target, ``cutting`` the equalities that do.  Constraints constant on the
-    target either eliminate the translate up front or impose nothing."""
-
-    shift: IntVec
-    carve: tuple[Facet, ...]
-    cutting: tuple[Facet, ...]
+# the translates' row table
 
 
 def _constant_value(normal: IntVec, verts: tuple[Vec, ...]) -> Scalar | None:
@@ -87,44 +78,54 @@ def _constant_value(normal: IntVec, verts: tuple[Vec, ...]) -> Scalar | None:
     return vals.pop() if len(vals) == 1 else None
 
 
-def _classify_translates(q: CoverageQuery) -> list[_Translate]:
+def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, list[tuple[Scalar, ...]]]:
+    """The translates as one row table ``(normals, carve, offsets)``.
+
+    ``normals`` holds the base's facet normals that vary on the target (the
+    first ``carve``), then each varying equality normal as the pair ``u``,
+    ``-u``.  ``offsets`` holds, per live translate in sorted-shift order, its
+    right-hand sides over those rows.  A normal constant on the target settles
+    its row for the whole target: the translate is dropped, or the row holds
+    everywhere there and is left out.  So a target point ``x`` lies in
+    translate ``i`` iff ``u.x <= off`` on every row, and in its open region iff
+    ``u.x < off`` (relative-interior mode refuses varying equalities).
+    """
     base = q.translate_base.desc
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
     fconst = [_constant_value(normal, tverts) for normal, _ in base.facets]
     econst = [_constant_value(h.normal, tverts) for h in base.equalities]
-    out = []
-    for t in sorted(q.translations):
-        carve: list[Facet] = []
-        cutting: list[Facet] = []
-        dead = False
+    normals = [normal for (normal, _), val in zip(base.facets, fconst) if val is None]
+    carve = len(normals)
+    for h, val in zip(base.equalities, econst):
+        if val is None:
+            normals += [h.normal, tuple(-x for x in h.normal)]
+
+    def row(t: IntVec) -> tuple[Scalar, ...] | None:
+        out: list[Scalar] = []
         for (normal, c), val in zip(base.facets, fconst):
             off = norm_scalar(c + dot(normal, t))
             if val is None:
-                carve.append((normal, off))
+                out.append(off)
             elif val > off or (relint and val == off):
-                # the normal is constant on the target, so the inequality
-                # fails everywhere on it (or, open mode, is never strict)
-                dead = True
-                break
-        if dead:
-            continue
+                # the inequality fails everywhere on the target (or, open
+                # mode, is never strict there)
+                return None
         for h, val in zip(base.equalities, econst):
             off = norm_scalar(h.offset + dot(h.normal, t))
             if val is None:
-                cutting.append((h.normal, off))
+                out += [off, -off]
             elif val != off:
-                dead = True
-                break
-        if dead:
-            continue
-        if cutting and relint:
-            raise GeometryError(
-                "RelativeInterior covering needs every translate to span the "
-                "target's affine hull or miss it entirely"
-            )
-        out.append(_Translate(t, tuple(carve), tuple(cutting)))
-    return out
+                return None
+        return tuple(out)
+
+    offsets = [r for r in map(row, sorted(q.translations)) if r is not None]
+    if relint and offsets and len(normals) > carve:
+        raise GeometryError(
+            "RelativeInterior covering needs every translate to span the "
+            "target's affine hull or miss it entirely"
+        )
+    return tuple(normals), carve, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -161,11 +162,6 @@ def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | 
     return _Piece(neg, neg_cons), _Piece(pos, pos_cons)
 
 
-def _piece_dim(piece: _Piece) -> int:
-    base = piece.vertices[0]
-    return rank([vec_sub(v, base) for v in piece.vertices[1:]])
-
-
 def _carve_step(
     piece: _Piece, normal: IntVec, offset: Scalar, keep_tight: bool
 ) -> tuple[_Piece | None, _Piece | None]:
@@ -187,53 +183,52 @@ def _carve_step(
     return neg, pos
 
 
-def _subtract_branches(piece: _Piece, tr: _Translate, mode: Mode) -> list[_Piece]:
-    """Carve the translate's region out of the piece.
+def _subtract_branches(
+    piece: _Piece, normals: tuple[IntVec, ...], carve: int, offs: tuple[Scalar, ...], mode: Mode
+) -> list[_Piece]:
+    """Carve one translate, given by its offsets ``offs`` over the rows
+    ``normals``, out of the piece.
 
     Closed mode: branch interiors are strictly outside the translate and the
-    dropped remainder lies inside it.  A translate made thin by a cutting
-    equality is handled by splitting along that equality; the thin covered set
-    stays inside both branches but never strictly inside a full-dimensional
-    one, which the closed-mode verdict tolerates (see covers).
+    dropped remainder lies inside it.  A translate made thin by a varying
+    equality (row ``carve``) is handled by splitting along that equality; the
+    thin covered set stays inside both branches but never strictly inside a
+    full-dimensional one, which the closed-mode verdict tolerates (see covers).
 
     Relative-interior mode: the branch union is exactly the piece minus the
     open region, including slices flush against a facet hyperplane.
     """
-    if tr.cutting:
-        normal, c = tr.cutting[0]
-        left, right = _cut_piece(piece, normal, c)
-        return [p for p in (left, right) if p is not None]
+    if len(normals) > carve:
+        return [p for p in _cut_piece(piece, normals[carve], offs[carve]) if p is not None]
     keep_tight = mode is Mode.RELATIVE_INTERIOR
     branches: list[_Piece] = []
     rest: _Piece | None = piece
-    for normal, c in tr.carve:
+    for normal, c in zip(normals[:carve], offs):
         if rest is None:
             break
-        kept, outside = _carve_step(rest, normal, c, keep_tight)
+        rest, outside = _carve_step(rest, normal, c, keep_tight)
         if outside is not None:
             branches.append(outside)
-        rest = kept
     return branches
 
 
-def _on_target_boundary(piece: _Piece, target: DualDescription) -> bool:
-    # a piece inside the target sits in the boundary iff a facet hyperplane
-    # contains it, iff its barycenter (a relative interior point) does
-    b = barycenter(piece.vertices)
-    return any(dot(normal, b) == c for normal, c in target.facets)
-
-
 def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
-    """An uncovered piece barycenter, or None when the translates cover."""
+    """An uncovered piece barycenter, or None when the translates cover.
+
+    A piece's barycenter ``b`` is evaluated on the table's normals once; the
+    first remaining translate whose offsets accept those values contains
+    ``b``, exactly, and is carved out.  Closed pieces need no dimension test:
+    ``_cut_piece`` splits a piece only when vertices lie strictly on both
+    sides, so both parts keep its dimension, and closed mode only cuts,
+    starting from the target.
+    """
     target = q.target.desc
-    base = q.translate_base.desc
-    translates = _classify_translates(q)
+    normals, carve, offsets = _classify_translates(q)
+    accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     budget = cell_budget()
     start = _Piece(target.vertices, target.facets)
-    stack: list[tuple[_Piece, tuple[int, ...]]] = [(start, tuple(range(len(translates))))]
+    stack: list[tuple[_Piece, tuple[int, ...]]] = [(start, tuple(range(len(offsets))))]
     processed = 0
-    target_dim = target.dim
-    closed = q.mode is Mode.CLOSED
     while stack:
         piece, remaining = stack.pop()
         processed += 1
@@ -242,20 +237,17 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
                 f"covering subtraction exceeded {budget} pieces; "
                 f"raise {CELL_BUDGET_ENV} to allow more"
             )
-        if closed and _piece_dim(piece) < target_dim:
-            continue
-        if not closed and _on_target_boundary(piece, target):
-            continue
         b = barycenter(piece.vertices)
-        pick = None
-        for idx in remaining:
-            if contains(base, vec_sub(b, translates[idx].shift), q.mode):
-                pick = idx
-                break
+        # a piece inside the target sits in its boundary iff a facet
+        # hyperplane contains it, iff its barycenter does
+        if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, b) == c for u, c in target.facets):
+            continue
+        vals = [dot(u, b) for u in normals]
+        pick = next((i for i in remaining if all(map(accepts, vals, offsets[i]))), None)
         if pick is None:
             return b
         rem = tuple(i for i in remaining if i != pick)
-        for branch in reversed(_subtract_branches(piece, translates[pick], q.mode)):
+        for branch in reversed(_subtract_branches(piece, normals, carve, offsets[pick], q.mode)):
             stack.append((branch, rem))
     return None
 

@@ -51,8 +51,12 @@ def load_polytope(path: str | Path) -> LatticePolytope:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise PolytopeFileError(f"{path}: file not found")
+    except OSError as e:
+        raise PolytopeFileError(f"{path}: cannot read ({e.strerror})")
     except json.JSONDecodeError as e:
         raise PolytopeFileError(f"{path}: invalid JSON at line {e.lineno}, column {e.colno}")
+    except UnicodeDecodeError:
+        raise PolytopeFileError(f"{path}: not UTF-8 text")
     return _parse(doc, str(path))
 
 

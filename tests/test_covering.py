@@ -1,11 +1,13 @@
 """Covering deciders: translate covers in closed and relative-interior mode.
 
 ``covers_by_sampling`` is the reference oracle: it classifies one sample per
-cell of the arrangement of every translate's facet hyperplanes, an approach
-independent of the subtraction route that ``covers`` takes.
+cell of the arrangement of every translate's facet and equality hyperplanes,
+taken from ``translate`` itself, an approach independent of the row table and
+the subtraction route that ``covers`` takes.
 """
 
 import math
+import operator
 import random
 
 import pytest
@@ -42,6 +44,7 @@ from latcayley.geometry import (
     contains,
     convex_hull,
     dot,
+    rank,
     vec_sub,
 )
 
@@ -146,17 +149,21 @@ def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]
 def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
     """Arrangement-cell sampling decider (cross-check route).
 
-    Every facet hyperplane of every translate is thrown into an arrangement
-    restricted to the target; one sample per cell decides coverage, because
-    membership in any translate, open or closed, is constant on each cell, and
-    so is membership in the target region.  Refuses up front when the
-    worst-case cell count exceeds the configured budget.
+    Every facet and equality hyperplane of every translate, built by
+    ``translate`` and not by the decider's row table, is thrown into an
+    arrangement restricted to the target; one sample per cell decides
+    coverage, because membership in any translate, open or closed, is
+    constant on each cell, and so is membership in the target region.  A
+    hyperplane constant on the target leaves the cells as they are.  Refuses
+    up front when the worst-case cell count exceeds the configured budget.
     """
     target = q.target.desc
     planes: dict[Hyperplane, None] = {}
-    for tr in _classify_translates(q):
-        for normal, c in tr.carve + tr.cutting:
+    for t in q.translations:
+        desc = translate(q.translate_base, t).desc
+        for normal, c in desc.facets:
             planes[Hyperplane.through(normal, c)] = None
+        planes.update(dict.fromkeys(desc.equalities))
     budget = cell_budget()
     k = len(planes) + len(target.facets)
     est = sum(math.comb(k, i) for i in range(min(target.dim, k) + 1))
@@ -437,3 +444,74 @@ def test_dilate_past_dimension_gets_interior_cover(seed, dim):
     Q = dilate(P_, dim + 1)
     assert interior_lattice_points(Q).points
     assert has_interior_translate_cover(Q).verdict is Verdict.HOLDS
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 3))
+def test_cut_parts_keep_the_piece_dimension(seed, dim):
+    """Why closed-mode subtraction needs no dimension test: a cut returns the
+    piece whole or splits it into two parts of its own dimension."""
+    def piece_dim(piece):
+        return rank([vec_sub(v, piece.vertices[0]) for v in piece.vertices])
+
+    rng = random.Random(seed)
+    ambient = rng.randint(dim, 3)
+    P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=2)
+    pieces = [_Piece(P_.desc.vertices, P_.desc.facets)]
+    for _ in range(4):
+        piece = pieces.pop(rng.randrange(len(pieces)))
+        normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
+        offset = dot(normal, rng.choice(piece.vertices)) + rng.randint(-1, 1)
+        parts = [p for p in _cut_piece(piece, normal, offset) if p is not None]
+        assert all(piece_dim(p) == piece_dim(piece) == dim for p in parts)
+        pieces += parts
+
+
+def _assert_table_matches_membership(q: CoverageQuery):
+    """On rational points x of the target (lattice points and barycenters of
+    vertex subsets), the offset rows accepting the row values of x are as
+    many as the translates containing x by direct membership."""
+    normals, _, offsets = _classify_translates(q)
+    accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
+    verts = q.target.desc.vertices
+    rng = random.Random(len(verts))
+    points = list(lattice_points(q.target).points)
+    points += [barycenter(rng.sample(verts, rng.randint(1, len(verts)))) for _ in range(10)]
+    base = q.translate_base.desc
+    for x in points:
+        vals = [dot(u, x) for u in normals]
+        by_table = sum(all(map(accepts, vals, offs)) for offs in offsets)
+        by_membership = sum(contains(base, vec_sub(x, t), q.mode) for t in q.translations)
+        assert by_table == by_membership, (q, x)
+
+
+def test_table_matches_membership_on_thin_cases(unit_square):
+    # a segment base is cut by its varying equality, so the table has rows
+    # past ``carve``
+    q = query(dilate(unit_square, 2), P((0, 0), (1, 0)), lattice_points(unit_square).points)
+    normals, carve, _ = _classify_translates(q)
+    assert len(normals) > carve
+    _assert_table_matches_membership(q)
+    # squares flush against a segment target from above and from below: the
+    # closed ones meet it at (3/2, 0), the open ones miss it
+    for mode in Mode:
+        _assert_table_matches_membership(
+            query(P((0, 0), (3, 0)), unit_square, [(1, 0), (1, -1)], mode)
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Mode.CLOSED, Mode.RELATIVE_INTERIOR]))
+def test_table_matches_membership(seed, mode):
+    rng = random.Random(seed)
+    ambient = rng.randint(1, 3)
+    tdim = rng.randint(1, ambient)
+    # relative-interior mode refuses a base thinner than the target, so there
+    # the base's coordinate subspace contains the target's
+    bdim = rng.randint(tdim if mode is Mode.RELATIVE_INTERIOR else 1, ambient)
+    target = random_lattice_polytope(rng.randrange(2**30), ambient, tdim, coord_bound=2)
+    base = random_lattice_polytope(rng.randrange(2**30), ambient, bdim, coord_bound=2)
+    # shifts that bring a lattice point of the base onto one of the target
+    pool = sorted({vec_sub(x, b) for x in lattice_points(target) for b in lattice_points(base)})
+    shifts = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+    _assert_table_matches_membership(query(target, base, shifts, mode))

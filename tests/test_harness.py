@@ -216,6 +216,24 @@ def test_cli_errors_exit_2(tmp_path, capsys):
     ]) == 2
 
 
+@pytest.mark.parametrize("case", ["directory", "not-utf8", "check-out", "construct-out"])
+def test_cli_file_errors_exit_2(case, tmp_path, capsys):
+    # exit 1 means "Fails", so an unreadable input or unwritable report must
+    # not surface as a traceback
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"ambient_dim": 1, "vertices": [[0]], "name": "\xe9"}')
+    unwritable = str(tmp_path / "no-such-dir" / "out.json")
+    square = fixture_arg("unit_square")
+    argv = {
+        "directory": ["check", "--property", "idp", str(FIXTURES)],
+        "not-utf8": ["check", "--property", "idp", str(latin1)],
+        "check-out": ["check", "--property", "idp", square, "--out", unwritable],
+        "construct-out": ["construct", "dilate", square, "--factor", "2", "--out", unwritable],
+    }[case]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 @pytest.mark.parametrize("prop", list(CHECKS))
 def test_cli_check_witness_exactly_on_failure(prop, tmp_path, capsys):
     # the fixtures plus one polytope whose edges are all long enough for the
