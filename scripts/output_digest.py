@@ -8,7 +8,10 @@ Two commits print the same digests exactly when their outputs agree on:
 - ``random``: every ``cli.CHECKS`` decider on the 200 seeded random polytopes
   of acceptance criterion 9;
 - ``reproduce``: ``latcayley reproduce`` on each documented example;
-- ``campaigns``: every theorem campaign at two seeds.
+- ``campaigns``: every theorem campaign at two seeds;
+- ``covers``: 1000 seeded direct ``CoverageQuery``s in both modes, in
+  ambient dimensions 1-3, with dilate, Minkowski-sum and random targets,
+  lower-dimensional bases in closed mode and random nonempty shift subsets.
 
 Timestamps are stripped before hashing.  To compare two commits, run it
 against each checkout and diff the output:
@@ -23,11 +26,22 @@ import json
 import os
 import re
 from pathlib import Path
+from random import Random
 
-from latcayley import CampaignConfig, random_lattice_polytope, verify_theorem
+from latcayley import (
+    CampaignConfig,
+    CoverageQuery,
+    PointSet,
+    dilate,
+    lattice_points,
+    minkowski_sum,
+    random_lattice_polytope,
+    verify_theorem,
+)
+from latcayley import covering  # the module: ``covers`` names a section here
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, main
-from latcayley.geometry import CellBudgetExceeded, GeometryError
+from latcayley.geometry import CellBudgetExceeded, GeometryError, Mode, vec_sub
 from latcayley.reproduce import EXAMPLE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,9 +94,47 @@ def campaigns():
             yield json.dumps(verify_theorem(cfg).to_dict(), sort_keys=True)
 
 
+def _cover_query(rng: Random, i: int) -> CoverageQuery:
+    ambient = 1 + i % 3
+    mode = Mode.CLOSED if i % 2 == 0 else Mode.RELATIVE_INTERIOR
+    # a base thinner than the target reaches the thin-translate cut in closed
+    # mode and is refused in relative-interior mode
+    thin = ambient > 1 and rng.random() < (0.5 if mode is Mode.CLOSED else 0.1)
+    bdim = rng.randint(1, ambient - 1) if thin else ambient
+    bound = 2 if ambient < 3 else 1
+    base = random_lattice_polytope(rng.randrange(2**30), ambient, bdim, bound)
+    kind = i // 6 % 3
+    # a full-dimensional summand makes a thin base's translates meet every
+    # lattice point of the sum more often, so that subtraction has to decide
+    odim = ambient if kind == 1 else rng.randint(0, ambient)
+    other = random_lattice_polytope(rng.randrange(2**30), ambient, odim, bound)
+    if kind == 0:
+        k = rng.randint(2, 3)
+        target, pool = dilate(base, k), lattice_points(dilate(base, k - 1)).points
+    elif kind == 1:
+        target, pool = minkowski_sum([base, other]), lattice_points(other).points
+    else:
+        target = other
+        pool = sorted({vec_sub(x, b) for x in lattice_points(other) for b in lattice_points(base)})
+    k = len(pool) if rng.random() < 0.5 else rng.randint(1, len(pool))
+    shifts = PointSet(ambient, tuple(sorted(rng.sample(pool, k))))
+    return CoverageQuery(target, base, shifts, mode)
+
+
+def covers():
+    rng = Random(0)
+    for i in range(1000):
+        q = _cover_query(rng, i)
+        try:
+            out = json.dumps(covering.covers(q).to_dict(), sort_keys=True)
+        except (GeometryError, CellBudgetExceeded) as e:
+            out = f"{type(e).__name__}: {e}"
+        yield f"{i} {out}"
+
+
 def run() -> None:
     os.chdir(ROOT)
-    for section in (fixtures, random, reproduce, campaigns):
+    for section in (fixtures, random, reproduce, campaigns, covers):
         h = hashlib.sha256()
         for record in section():
             h.update(record.encode("utf-8") + b"\0")

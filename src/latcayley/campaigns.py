@@ -143,35 +143,29 @@ def _level_horizon(P: LatticePolytope, config: CampaignConfig) -> int:
     return level_index(P).index_r + 2
 
 
-def _certified_2cn(rng: random.Random, config: CampaignConfig) -> LatticePolytope | None:
-    """A polytope the 2-convex-normality decider itself certifies.
+def _certified(rng: random.Random, config: CampaignConfig, holds, grow) -> LatticePolytope | None:
+    """A random polygon, or else its dilate by ``grow(P)``, that ``holds``.
 
-    Small random polytopes rarely qualify, so a failing sample is retried as
-    its dim-fold dilate; the certificate always comes from the decider, never
-    from the dilation heuristic.
+    Small random polytopes rarely qualify, hence the dilate; the certificate
+    always comes from the decider inside ``holds``, never from the dilation.
     """
-    d = rng.randint(1, 2)
-    P = _poly2(rng, d, min(config.coord_bound, 2))
-    if is_2_convex_normal(P).verdict is Verdict.HOLDS:
+    P = _poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2))
+    if holds(P):
         return P
-    Q = dilate(P, max(1, P.dim))
-    if is_2_convex_normal(Q).verdict is Verdict.HOLDS:
-        return Q
-    return None
+    Q = dilate(P, grow(P))
+    return Q if holds(Q) else None
 
 
-def _certified_cond01(rng: random.Random, config: CampaignConfig) -> LatticePolytope | None:
-    """A polytope certified by the interior-translate-cover decider, with
-    interior lattice points."""
-    d = rng.randint(1, 2)
-    P = _poly2(rng, d, min(config.coord_bound, 2))
-    for cand in (P, dilate(P, P.dim + 1)):
-        if (
-            len(interior_lattice_points(cand))
-            and has_interior_translate_cover(cand).verdict is Verdict.HOLDS
-        ):
-            return cand
-    return None
+def _is_2cn(P: LatticePolytope) -> bool:
+    return is_2_convex_normal(P).verdict is Verdict.HOLDS
+
+
+def _has_cover(P: LatticePolytope) -> bool:
+    return has_interior_translate_cover(P).verdict is Verdict.HOLDS
+
+
+def _has_interior_cover(P: LatticePolytope) -> bool:
+    return len(interior_lattice_points(P)) > 0 and _has_cover(P)
 
 
 def _verts(*Ps: LatticePolytope) -> tuple[tuple[tuple[int, ...], ...], ...]:
@@ -272,11 +266,11 @@ def _run_thm_0_4_equiv(rng, config, trial, out):
                 out.append(Violation(trial, _verts(*Ps), f"dilated Minkowski sum {a} not IDP", rep))
 
 
-def _collect(rng, config, certified, m) -> list[LatticePolytope] | None:
-    """m polytopes certified by ``certified(rng, config)`` within 20 draws, or None."""
+def _collect(rng, config, holds, grow, m) -> list[LatticePolytope] | None:
+    """m polytopes certified by ``_certified`` within 20 draws, or None."""
     Ps = []
     for _ in range(20):
-        cand = certified(rng, config)
+        cand = _certified(rng, config, holds, grow)
         if cand is not None:
             Ps.append(cand)
         if len(Ps) == m:
@@ -286,7 +280,7 @@ def _collect(rng, config, certified, m) -> list[LatticePolytope] | None:
 
 def _run_thm_2_1(rng, config, trial, out):
     m = rng.randint(2, 3)
-    Ps = _collect(rng, config, _certified_2cn, m)
+    Ps = _collect(rng, config, _is_2cn, lambda P: P.dim, m)
     if Ps is None:
         return
     rep = is_idp(minkowski_sum(Ps))
@@ -342,25 +336,17 @@ def _run_cor_2_3(rng, config, trial, out):
 
 
 def _run_prop_3_1(rng, config, trial, out):
-    P = None
-    for _ in range(20):
-        d = rng.randint(1, 2)
-        cand = _poly2(rng, d, min(config.coord_bound, 2))
-        for Q in (cand, dilate(cand, cand.dim + 1)):
-            if has_interior_translate_cover(Q).verdict is Verdict.HOLDS:
-                P = Q
-                break
-        if P is not None:
-            break
-    if P is None:
+    Ps = _collect(rng, config, _has_cover, lambda P: P.dim + 1, 1)
+    if Ps is None:
         return
+    (P,) = Ps
     rep = level_status(P, _level_horizon(P, config))
     if rep.verdict is Verdict.FAILS:
         out.append(Violation(trial, _verts(P), "interior-cover polytope not level", rep))
 
 
 def _run_thm_3_2(rng, config, trial, out):
-    Ps = _collect(rng, config, _certified_cond01, 2)
+    Ps = _collect(rng, config, _has_interior_cover, lambda P: P.dim + 1, 2)
     if Ps is None:
         return
     M = minkowski_sum(Ps)

@@ -7,9 +7,11 @@ evaluated on those normals once, and the first remaining translate whose
 offsets accept it is carved out of the piece along its facet halfspaces, one
 at a time.  That leaves closed branches whose union is exactly the piece
 minus the translate's region, so the decision is exact in both the closed
-and the relative-interior mode.  It is the only covering decider;
-``is_2_convex_normal`` and ``has_interior_translate_cover`` pose their
-questions through it.
+and the relative-interior mode.  A piece is its vertices with one incidence
+bitmask each, which every cut updates exactly, so its edges come from the
+combinatorial adjacency test of the double description method.  It is the
+only covering decider; ``is_2_convex_normal`` and
+``has_interior_translate_cover`` pose their questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
@@ -22,12 +24,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from functools import reduce
 
 from .geometry import (
     CELL_BUDGET_ENV,
     CellBudgetExceeded,
     DimensionMismatch,
-    Facet,
     GeometryError,
     IntVec,
     Mode,
@@ -35,22 +38,14 @@ from .geometry import (
     Vec,
     _piece_edges,
     _tight_masks,
-    as_fraction,
     barycenter,
     cell_budget,
     contains,
     dot,
     norm_scalar,
-    vec_add,
     vec_sub,
 )
-from .polytope import (
-    LatticePolytope,
-    PointSet,
-    dilate,
-    interior_lattice_points,
-    lattice_points,
-)
+from .polytope import LatticePolytope, PointSet, dilate, interior_lattice_points, lattice_points
 from .properties import PropertyReport, Verdict, point_set_sum
 
 
@@ -134,53 +129,42 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
 
 @dataclass(frozen=True)
 class _Piece:
-    """A closed polytope produced by cutting; constraints may be redundant."""
+    """A closed polytope produced by cutting: sorted vertices and their
+    incidences.  Bit ``k`` of ``masks[i]`` is set iff constraint ``k`` (a
+    target facet or a cut made so far) is tight at vertex ``i``; that is all
+    the adjacency test of ``_piece_edges`` needs."""
 
     vertices: tuple[Vec, ...]
-    constraints: tuple[Facet, ...]
+    masks: tuple[int, ...]
 
 
 def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | None, _Piece | None]:
-    """Split a piece along normal.x = offset into (<= side, >= side)."""
+    """Split a piece along normal.x = offset into (<= side, >= side).
+
+    The masks are updated, never recomputed.  The cut takes a bit no vertex
+    uses; a kept vertex gains it iff it lies on the hyperplane.  The crossing
+    ``(vi*q - vj*p) / (vi - vj)`` on an edge ``(i, j)`` with ends ``p``, ``q``
+    and cut values ``vi``, ``vj`` gets ``masks[i] & masks[j]`` plus the cut
+    bit: a constraint valid on the piece is tight at an interior point of a
+    segment iff it is tight at both ends.
+    """
     vals = [norm_scalar(dot(normal, v) - offset) for v in piece.vertices]
     if all(v >= 0 for v in vals):
         return None, piece
     if all(v <= 0 for v in vals):
         return piece, None
-    masks = _tight_masks(piece.vertices, piece.constraints)
-    crossings: list[Vec] = []
-    for i, j in _piece_edges(piece.vertices, masks):
+    cut = 1 << reduce(operator.or_, piece.masks).bit_length()
+    kept = [(v, m | cut if s == 0 else m, s) for v, m, s in zip(piece.vertices, piece.masks, vals)]
+    crossings = []
+    for i, j in _piece_edges(piece.vertices, piece.masks):
         vi, vj = vals[i], vals[j]
         if (vi > 0 > vj) or (vi < 0 < vj):
-            t = as_fraction(vi) / (as_fraction(vi) - as_fraction(vj))
-            a, b = piece.vertices[i], piece.vertices[j]
-            crossings.append(vec_add(a, tuple(norm_scalar(t * x) for x in vec_sub(b, a))))
-    neg = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val <= 0} | set(crossings)))
-    pos = tuple(sorted({v for v, val in zip(piece.vertices, vals) if val >= 0} | set(crossings)))
-    neg_cons = piece.constraints + ((normal, norm_scalar(offset)),)
-    pos_cons = piece.constraints + ((tuple(-x for x in normal), norm_scalar(-offset)),)
-    return _Piece(neg, neg_cons), _Piece(pos, pos_cons)
-
-
-def _carve_step(
-    piece: _Piece, normal: IntVec, offset: Scalar, keep_tight: bool
-) -> tuple[_Piece | None, _Piece | None]:
-    """Like _cut_piece, but in tight-keeping mode a piece lying entirely on the
-    <= side still yields its (lower-dimensional) slice on the hyperplane as the
-    >= part.  Open-mode carving needs that slice: its points are outside the
-    open region being subtracted."""
-    neg, pos = _cut_piece(piece, normal, offset)
-    if keep_tight and pos is None:
-        tight = tuple(v for v in piece.vertices if dot(normal, v) == offset)
-        if tight:
-            # valid inequality on the piece, so the slice is the face spanned
-            # by the tight vertices
-            cons = piece.constraints + (
-                (normal, norm_scalar(offset)),
-                (tuple(-x for x in normal), norm_scalar(-offset)),
-            )
-            pos = _Piece(tight, cons)
-    return neg, pos
+            p, q = piece.vertices[i], piece.vertices[j]
+            x = tuple(norm_scalar(Fraction(vi * b - vj * a, vi - vj)) for a, b in zip(p, q))
+            crossings.append((x, piece.masks[i] & piece.masks[j] | cut))
+    neg = sorted([(v, m) for v, m, s in kept if s <= 0] + crossings)
+    pos = sorted([(v, m) for v, m, s in kept if s >= 0] + crossings)
+    return _Piece(*zip(*neg)), _Piece(*zip(*pos))
 
 
 def _subtract_branches(
@@ -196,17 +180,22 @@ def _subtract_branches(
     full-dimensional one, which the closed-mode verdict tolerates (see covers).
 
     Relative-interior mode: the branch union is exactly the piece minus the
-    open region, including slices flush against a facet hyperplane.
+    open region.  A piece on the <= side of a row still yields its slice on
+    that hyperplane, the face of its tight vertices with their masks; the
+    hyperplane needs no bit there, as a bit set at every vertex of a piece
+    does not change the edge test.
     """
     if len(normals) > carve:
         return [p for p in _cut_piece(piece, normals[carve], offs[carve]) if p is not None]
-    keep_tight = mode is Mode.RELATIVE_INTERIOR
     branches: list[_Piece] = []
     rest: _Piece | None = piece
     for normal, c in zip(normals[:carve], offs):
         if rest is None:
             break
-        rest, outside = _carve_step(rest, normal, c, keep_tight)
+        rest, outside = _cut_piece(rest, normal, c)
+        if outside is None and mode is Mode.RELATIVE_INTERIOR:
+            on = [(v, m) for v, m in zip(rest.vertices, rest.masks) if dot(normal, v) == c]
+            outside = _Piece(*zip(*on)) if on else None
         if outside is not None:
             branches.append(outside)
     return branches
@@ -226,7 +215,7 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     normals, carve, offsets = _classify_translates(q)
     accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     budget = cell_budget()
-    start = _Piece(target.vertices, target.facets)
+    start = _Piece(target.vertices, tuple(_tight_masks(target.vertices, target.facets)))
     stack: list[tuple[_Piece, tuple[int, ...]]] = [(start, tuple(range(len(offsets))))]
     processed = 0
     while stack:

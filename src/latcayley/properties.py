@@ -126,10 +126,10 @@ def is_idp(P: LatticePolytope, max_degree: int | None = None) -> PropertyReport:
     """Does every lattice point of nP decompose as a sum of n points of P?
 
     Scans n = 2 .. D, comparing nP cap Z against (n-1)P cap Z + P cap Z.
-    Under the default D = max(2, dim(P)-1) a Holds verdict is a certificate
-    for all degrees; a caller-supplied smaller bound weakens it to exactly the
-    range recorded in degrees_checked.  A bound below 2 leaves no degree to
-    check, so it is refused rather than certified.
+    Degrees up to max(2, dim(P)-1), the default D, certify all degrees, so a
+    clean scan that reaches them is Holds.  A caller-supplied bound below that
+    certifies nothing beyond itself: a clean scan is VerifiedUpToHorizon with
+    horizon D.  A bound below 2 leaves no degree to check, so it is refused.
     """
     D = max_degree if max_degree is not None else max(2, P.dim - 1)
     if D < 2:
@@ -142,7 +142,9 @@ def is_idp(P: LatticePolytope, max_degree: int | None = None) -> PropertyReport:
         if w is not None:
             return PropertyReport("idp", Verdict.FAILS, (n, w), (2, D))
         prev = lattice_points(Q)
-    return PropertyReport("idp", Verdict.HOLDS, None, (2, D))
+    if D >= max(2, P.dim - 1):
+        return PropertyReport("idp", Verdict.HOLDS, None, (2, D))
+    return PropertyReport("idp", Verdict.VERIFIED_UP_TO_HORIZON, None, (2, D), D)
 
 
 def is_tuple_idp(Ps: list[LatticePolytope]) -> PropertyReport:

@@ -3,12 +3,16 @@
 ``covers_by_sampling`` is the reference oracle: it classifies one sample per
 cell of the arrangement of every translate's facet and equality hyperplanes,
 taken from ``translate`` itself, an approach independent of the row table and
-the subtraction route that ``covers`` takes.
+the subtraction route that ``covers`` takes.  It cuts the target by
+``convex_hull`` and reads faces off the hulls' facets, so it runs neither the
+pieces' incidence masks nor their edge test.
 """
 
 import math
 import operator
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,13 +35,14 @@ from latcayley import (
     random_lattice_polytope,
     translate,
 )
-from latcayley.covering import _classify_translates, _cut_piece, _Piece
+from latcayley.covering import _classify_translates, _cut_piece, _Piece, _subtract_branches
 from latcayley.geometry import (
     CELL_BUDGET_ENV,
     DualDescription,
     Hyperplane,
     Mode,
     Vec,
+    _piece_edges,
     _tight_masks,
     barycenter,
     cell_budget,
@@ -76,23 +81,43 @@ def assert_witness_sound(q: CoverageQuery, res: PropertyReport):
 # reference oracle: one sample per arrangement cell
 
 
-def _faces(piece: _Piece) -> list[frozenset[int]]:
-    """All nonempty faces of a piece as vertex-index sets (the piece included)."""
-    masks = _tight_masks(piece.vertices, piece.constraints)
-    top = frozenset(range(len(piece.vertices)))
+def _faces(desc: DualDescription) -> list[frozenset[int]]:
+    """All nonempty faces of a polytope as vertex-index sets (the polytope
+    included): the nonempty intersections of its facets' vertex sets."""
+    facets = [
+        frozenset(i for i, v in enumerate(desc.vertices) if dot(normal, v) == c)
+        for normal, c in desc.facets
+    ]
+    top = frozenset(range(len(desc.vertices)))
     seen = {top}
     queue = [top]
-    out = [top]
-    ncons = len(piece.constraints)
     while queue:
         face = queue.pop()
-        for k in range(ncons):
-            child = frozenset(i for i in face if masks[i] & (1 << k))
-            if child and child != face and child not in seen:
+        for facet in facets:
+            child = face & facet
+            if child and child not in seen:
                 seen.add(child)
                 queue.append(child)
-                out.append(child)
-    return out
+    return list(seen)
+
+
+def _split(desc: DualDescription, h: Hyperplane) -> list[DualDescription]:
+    """The parts of a polytope on the two sides of a hyperplane it crosses,
+    each the hull of the vertices on that side and the crossing point of every
+    pair of vertices strictly on opposite sides; the polytope itself when the
+    hyperplane does not cross it."""
+    vals = [dot(h.normal, v) - h.offset for v in desc.vertices]
+    if all(a >= 0 for a in vals) or all(a <= 0 for a in vals):
+        return [desc]
+    crossings = [
+        tuple(x + Fraction(a, a - b) * (y - x) for x, y in zip(p, q))
+        for (p, a), (q, b) in combinations(zip(desc.vertices, vals), 2)
+        if a * b < 0
+    ]
+    return [
+        convex_hull([v for v, a in zip(desc.vertices, vals) if side(a)] + crossings)
+        for side in (lambda a: a <= 0, lambda a: a >= 0)
+    ]
 
 
 def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]:
@@ -117,15 +142,11 @@ def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]
             raise DimensionMismatch("hyperplane ambient dimension disagrees with within")
         planes[h] = None
     budget = cell_budget()
-    pieces = [_Piece(within.vertices, within.facets)]
+    pieces = [within]
     for h in planes:
-        nxt: list[_Piece] = []
+        nxt: list[DualDescription] = []
         for piece in pieces:
-            neg, pos = _cut_piece(piece, h.normal, h.offset)
-            if neg is not None:
-                nxt.append(neg)
-            if pos is not None:
-                nxt.append(pos)
+            nxt += _split(piece, h)
             if len(nxt) > budget:
                 raise CellBudgetExceeded(
                     f"arrangement subdivision exceeded {budget} pieces; "
@@ -450,21 +471,40 @@ def test_dilate_past_dimension_gets_interior_cover(seed, dim):
 @given(st.integers(0, 10**6), st.integers(1, 3))
 def test_cut_parts_keep_the_piece_dimension(seed, dim):
     """Why closed-mode subtraction needs no dimension test: a cut returns the
-    piece whole or splits it into two parts of its own dimension."""
+    piece whole or splits it into two parts of its own dimension.  Every part,
+    and every relative-interior slice, carries the incidence masks its own
+    hull gives, up to bits that do not change the edge test."""
     def piece_dim(piece):
         return rank([vec_sub(v, piece.vertices[0]) for v in piece.vertices])
+
+    def assert_masks_exact(piece):
+        hull = convex_hull(piece.vertices)
+        assert hull.vertices == piece.vertices
+        edges = _piece_edges(piece.vertices, _tight_masks(piece.vertices, hull.facets))
+        assert _piece_edges(piece.vertices, piece.masks) == edges
 
     rng = random.Random(seed)
     ambient = rng.randint(dim, 3)
     P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=2)
-    pieces = [_Piece(P_.desc.vertices, P_.desc.facets)]
+    pieces = [_Piece(P_.desc.vertices, tuple(_tight_masks(P_.desc.vertices, P_.desc.facets)))]
     for _ in range(4):
         piece = pieces.pop(rng.randrange(len(pieces)))
         normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
         offset = dot(normal, rng.choice(piece.vertices)) + rng.randint(-1, 1)
         parts = [p for p in _cut_piece(piece, normal, offset) if p is not None]
         assert all(piece_dim(p) == piece_dim(piece) == dim for p in parts)
+        for part in parts:
+            assert_masks_exact(part)
         pieces += parts
+    # relative-interior carving: a row flush against a facet of the piece
+    # yields that facet as a slice, then a random row cuts the rest
+    piece = rng.choice(pieces)
+    flush = rng.choice(convex_hull(piece.vertices).facets)
+    normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
+    offset = dot(normal, rng.choice(piece.vertices)) + rng.randint(-1, 1)
+    rows = (flush[0], normal)
+    for part in _subtract_branches(piece, rows, 2, (flush[1], offset), Mode.RELATIVE_INTERIOR):
+        assert_masks_exact(part)
 
 
 def _assert_table_matches_membership(q: CoverageQuery):

@@ -3,6 +3,7 @@
 import ast
 import json
 import sys
+from itertools import product
 
 import pytest
 
@@ -316,6 +317,23 @@ def test_cli_idp_refuses_max_degree_below_2(capsys):
     assert main(argv + ["--max-degree", "1"]) == 2
     assert "max_degree" in capsys.readouterr().err
     assert main(argv + ["--max-degree", "2"]) == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_idp_below_the_certificate_degree_states_its_horizon(fmt, tmp_path, capsys):
+    # the 4-cube is IDP, but only degrees up to 3 certify it
+    path = tmp_path / "cube4.json"
+    path.write_text(json.dumps({"ambient_dim": 4, "vertices": list(product((0, 1), repeat=4))}))
+    argv = ["check", str(path), "--property", "idp", "--max-degree", "2", "--format", fmt]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["verdict"] == "VerifiedUpToHorizon"
+        assert (doc["degrees_checked"], doc["horizon"]) == ([2, 2], 2)
+    else:
+        lines = set(out.splitlines())
+        assert {"verdict: VerifiedUpToHorizon", "degrees checked: 2..2", "horizon: 2"} <= lines
 
 
 @pytest.mark.parametrize(

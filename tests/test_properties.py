@@ -1,7 +1,7 @@
 """Property deciders: IDP, tuple-IDP, level, Gorenstein, edge criterion."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -104,6 +104,16 @@ def test_idp_respects_max_degree(reeve):
     # a bound below the first checkable degree leaves nothing to check
     with pytest.raises(GeometryError):
         is_idp(reeve, max_degree=1)
+
+
+def test_idp_below_the_certificate_degree_states_its_horizon():
+    # the 4-cube is IDP, but only degrees up to max(2, 4 - 1) = 3 certify it
+    cube = from_vertices(list(product((0, 1), repeat=4)))
+    rep = is_idp(cube, max_degree=2)
+    assert rep.verdict is Verdict.VERIFIED_UP_TO_HORIZON
+    assert (rep.degrees_checked, rep.horizon_used) == ((2, 2), 2)
+    holds = PropertyReport("idp", Verdict.HOLDS, None, (2, 3))
+    assert is_idp(cube) == is_idp(cube, max_degree=3) == holds
 
 
 def test_idp_translation_invariant(reeve, unit_square):
