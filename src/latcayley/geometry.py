@@ -45,7 +45,7 @@ class DimensionMismatch(GeometryError):
 
 
 class CellBudgetExceeded(RuntimeError):
-    """A covering subtraction or a lattice point enumeration outgrew the configured budget."""
+    """A convex hull, a covering subtraction or a lattice point enumeration outgrew the configured budget."""
 
 
 class Mode(Enum):
@@ -402,10 +402,18 @@ def convex_hull(points) -> DualDescription:
     make a degenerate simplex.  Coplanar simplices are merged by (normal, offset), the
     offsets divided by L, and a simplex corner is a vertex iff its tight
     facet normals and the equality normals have full rank.
+    Raises CellBudgetExceeded when there are more distinct candidate points
+    than the cell budget (LATCAYLEY_CELL_BUDGET).
     """
     pts = _validate_points(points)
     n = len(pts[0])
     cand = sorted(set(pts))
+    budget = cell_budget()
+    if len(cand) > budget:
+        raise CellBudgetExceeded(
+            f"convex hull of {len(cand)} distinct points exceeds the budget of {budget}; "
+            f"raise {CELL_BUDGET_ENV} to allow more"
+        )
     dim, eqs = affine_hull(cand)
     if dim == 0:
         return DualDescription(n, 0, (cand[0],), (), eqs)

@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -70,13 +71,14 @@ class PointSet:
     points: tuple[IntVec, ...]
 
     def __post_init__(self) -> None:
-        unique = {tuple(p) for p in self.points}
-        if any(len(p) != self.ambient_dim for p in unique):
+        # insertion-ordered dedup: points that arrive sorted sort in linear time
+        unique = dict.fromkeys(map(tuple, self.points))
+        if set(map(len, unique)) - {self.ambient_dim}:
             raise DimensionMismatch("point length disagrees with ambient_dim")
-        if not all(type(x) is int for p in unique for x in p):
+        if set(map(type, chain.from_iterable(unique))) - {int}:
             if not all(is_integer_vec(p) for p in unique):
                 raise GeometryError("lattice point coordinates must be integers")
-            unique = {tuple(map(int, p)) for p in unique}
+            unique = dict.fromkeys(tuple(map(int, p)) for p in unique)
         object.__setattr__(self, "points", tuple(sorted(unique)))
 
     def __iter__(self):

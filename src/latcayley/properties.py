@@ -4,6 +4,12 @@ Covers the integer decomposition property (for one polytope and for tuples),
 the level index, levelness, the Gorenstein property, and the sufficient
 edge-length criterion for 2-convex-normality.
 
+Every decomposition question (IDP, tuple IDP, levelness) is one sumset
+equality, decided by ``_first_missing`` through the one sumset kernel,
+``point_set_sum``.  That kernel adds runs of consecutive last coordinates,
+packed as ints, instead of point pairs: lattice points of a convex body meet
+every line in one interval, so for them the work is rows times rows.
+
 Verdict semantics: IDP checks certify.  Checking the decomposition equality
 up to degree max(2, d-1) is a complete certificate, because the equality
 (n+1)P cap Z = (nP cap Z) + (P cap Z) holds unconditionally once n >= d-1.
@@ -18,7 +24,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, floordiv, mod, mul
 
 from .geometry import DimensionMismatch, GeometryError, IntVec, Mode, contains, vec_sub
 from .polytope import (
@@ -90,17 +97,69 @@ class LevelData:
             raise ValueError("level index data requires a positive index and generators")
 
 
+def _run_keys(S: PointSet, lo: list[int], strides: list[int], W: int) -> list[int]:
+    """S's maximal runs of consecutive codes, each packed as start*(W+1) + length."""
+    base = sum(map(mul, lo, strides))
+    codes = [sum(map(mul, p, strides)) - base for p in S.points]
+    ends = [i for i in range(1, len(codes)) if codes[i] != codes[i - 1] + 1]
+    return [codes[s] * (W + 1) + e - s for s, e in zip([0, *ends], [*ends, len(codes)])]
+
+
 def point_set_sum(A: PointSet, B: PointSet) -> PointSet:
-    """{a + b}, summed column by column so the per-pair work runs in builtins."""
+    """{a + b}, formed by adding runs of the last coordinate, not point pairs.
+
+    Each point is packed into one int, a mixed-radix code with the first
+    coordinate most significant.  Coordinate i of A is offset by A's minimum
+    lo_A[i], and of B by lo_B[i]; its digit gets the width
+    span_A[i] + span_B[i] + 1, so code(a) + code(b) is the code of a + b
+    (offset by lo_A + lo_B) with no digit carrying, and code order is
+    lexicographic order.  The last coordinate gets one spare digit, width
+    W = span_A + span_B + 2: its digits in A or B never reach W - 1, so a run
+    of consecutive codes never crosses into the next row, even where the
+    other factor's last coordinate is constant.
+
+    A run [s, s + k) of consecutive codes (one interval of the last
+    coordinate, as the lattice points of a convex body meet every line) is
+    packed as s*(W+1) + k.  Two run lengths add up to at most W, so one int
+    add sums two runs: [s, s + k) + [t, t + l) = [s + t, s + t + k + l - 1).
+    The distinct summed runs, sorted, are merged where they overlap; no
+    summed run reaches the last digit of its row, so none merges across
+    rows.  The merged runs expand to the sorted codes of the sum, which are
+    decoded column by column.  The work is runs times runs, which for convex
+    factors is rows times rows, not points times points; for scattered
+    factors every run is one point.
+    """
     if A.ambient_dim != B.ambient_dim:
         raise DimensionMismatch("point set sum needs equal ambient dimensions")
-    if A.ambient_dim == 0:  # no columns to zip
+    n = A.ambient_dim
+    if n == 0:  # no coordinates to pack
         return A if len(B) else B
-    cols = tuple(zip(*B.points))
-    sums = set()
-    for a in A.points:
-        sums.update(zip(*[[x + y for y in col] for x, col in zip(a, cols)]))
-    return PointSet(A.ambient_dim, tuple(sums))
+    if not len(A) or not len(B):
+        return PointSet(n, ())
+    cols_a, cols_b = list(zip(*A.points)), list(zip(*B.points))
+    lo_a, lo_b = [min(c) for c in cols_a], [min(c) for c in cols_b]
+    widths = [max(a) - la + max(b) - lb + 1 for a, la, b, lb in zip(cols_a, lo_a, cols_b, lo_b)]
+    widths[-1] += 1  # the spare digit
+    W = widths[-1]
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * widths[i + 1]
+    ka, kb = _run_keys(A, lo_a, strides, W), _run_keys(B, lo_b, strides, W)
+    codes: list[int] = []
+    s0 = e0 = 0  # the merged run [s0, e0) being built
+    for key in sorted({x + y for x in ka for y in kb}):
+        s, k = divmod(key, W + 1)
+        if s > e0:
+            codes += range(s0, e0)
+            s0, e0 = s, s + k - 1
+        elif s + k - 1 > e0:
+            e0 = s + k - 1
+    codes += range(s0, e0)
+    cols = []
+    for w, la, lb in zip(widths[::-1], lo_a[::-1], lo_b[::-1]):
+        cols.append(map(add, map(mod, codes, repeat(w)), repeat(la + lb)))
+        codes = list(map(floordiv, codes, repeat(w)))
+    return PointSet(n, tuple(zip(*cols[::-1])))
 
 
 def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet]) -> IntVec | None:

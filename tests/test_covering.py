@@ -335,19 +335,22 @@ def test_relint_rejects_thin_translate_when_it_matters(unit_square):
 
 
 def test_sampling_refuses_oversized_arrangement(unit_square, monkeypatch):
-    monkeypatch.setenv(CELL_BUDGET_ENV, "3")
+    # the query's hulls and enumerations are built under the default budget
     q = query(dilate(unit_square, 2), unit_square, lattice_points(unit_square).points)
-    with pytest.raises(CellBudgetExceeded):
+    monkeypatch.setenv(CELL_BUDGET_ENV, "3")
+    with pytest.raises(CellBudgetExceeded, match="arrangement"):
         covers_by_sampling(q)
 
 
 def test_subtraction_refuses_on_tiny_budget(monkeypatch):
     # interior pre-pass cannot settle a covered closed query, so the
-    # subtraction engine runs and must respect the budget
-    monkeypatch.setenv(CELL_BUDGET_ENV, "1")
+    # subtraction engine runs and must respect the budget; the hulls and the
+    # enumerations it reads are built under the default budget first
     sq = P((0, 0), (1, 0), (0, 1), (1, 1))
     q = query(dilate(sq, 2), sq, lattice_points(sq).points)
-    with pytest.raises(CellBudgetExceeded):
+    lattice_points(q.target)
+    monkeypatch.setenv(CELL_BUDGET_ENV, "1")
+    with pytest.raises(CellBudgetExceeded, match="covering subtraction"):
         covers(q)
 
 

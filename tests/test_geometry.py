@@ -18,6 +18,7 @@ from latcayley import (
 from latcayley.geometry import (
     CELL_BUDGET_ENV,
     DEFAULT_CELL_BUDGET,
+    CellBudgetExceeded,
     Mode,
     affine_hull,
     cell_budget,
@@ -362,6 +363,15 @@ def test_cell_budget_env_override(monkeypatch):
     monkeypatch.setenv(CELL_BUDGET_ENV, "-5")
     with pytest.raises(GeometryError):
         cell_budget()
+
+
+def test_convex_hull_refuses_more_candidates_than_the_cell_budget(monkeypatch):
+    pts = [(0, 0), (2, 0), (0, 2), (1, 1), (1, 1)]  # four distinct candidates
+    monkeypatch.setenv(CELL_BUDGET_ENV, "4")
+    assert convex_hull(pts).vertices == ((0, 0), (0, 2), (2, 0))
+    monkeypatch.setenv(CELL_BUDGET_ENV, "3")
+    with pytest.raises(CellBudgetExceeded, match=CELL_BUDGET_ENV):
+        convex_hull(pts)
 
 
 def test_no_floats_anywhere_in_descriptions():

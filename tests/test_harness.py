@@ -308,7 +308,22 @@ def test_cli_random_is_deterministic(tmp_path, capsys):
 def test_cli_check_exits_2_past_enumeration_budget(monkeypatch, capsys, cold_enumeration_cache):
     monkeypatch.setenv(CELL_BUDGET_ENV, "10")
     assert main(["check", fixture_arg("unit_cube"), "--property", "idp"]) == 2
-    assert CELL_BUDGET_ENV in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert CELL_BUDGET_ENV in err and "enumeration" in err
+
+
+@pytest.mark.parametrize("command", ["check", "construct"])
+def test_cli_exits_2_past_hull_budget(monkeypatch, capsys, tmp_path, command):
+    # each square loads under the budget of 8; their sum has 9 hull candidates
+    square = fixture_arg("unit_square")
+    argv = {
+        "check": ["check", square, square, "--property", "tuple-idp"],
+        "construct": ["construct", "minkowski", square, square, "--out", str(tmp_path / "s.json")],
+    }[command]
+    monkeypatch.setenv(CELL_BUDGET_ENV, "8")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "convex hull" in err and CELL_BUDGET_ENV in err
 
 
 def test_cli_idp_refuses_max_degree_below_2(capsys):

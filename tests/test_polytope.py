@@ -175,7 +175,7 @@ def test_lattice_points_match_box_scan_explicit(make):
 
 def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enumeration_cache):
     monkeypatch.setenv(CELL_BUDGET_ENV, "10")
-    with pytest.raises(CellBudgetExceeded, match=CELL_BUDGET_ENV):
+    with pytest.raises(CellBudgetExceeded, match=f"enumeration.*{CELL_BUDGET_ENV}"):
         lattice_points(dilate(unit_square, 5))
     assert len(lattice_points(dilate(unit_square, 2))) == 9
 

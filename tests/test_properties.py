@@ -71,6 +71,63 @@ def test_point_set_sum_dim_mismatch():
         point_set_sum(PointSet(2, ((0, 0),)), PointSet(1, ((0,),)))
 
 
+def columnar_sum(A, B):
+    """{a + b} over every point pair, summed column by column: the reference
+    for the run-packed ``point_set_sum``."""
+    if A.ambient_dim == 0:
+        return A if len(B) else B
+    cols = tuple(zip(*B.points))
+    sums = set()
+    for a in A.points:
+        sums.update(zip(*[[x + y for y in col] for x, col in zip(a, cols)]))
+    return PointSet(A.ambient_dim, tuple(sums))
+
+
+@st.composite
+def point_sets(draw, n):
+    """Arbitrary point sets, not lattice points of a polytope: scattered, with
+    gapped rows, with a constant last coordinate, diagonal, or one point."""
+    coord = st.integers(-6, 6)
+    point = st.tuples(*[coord] * n)
+    kind = draw(st.sampled_from(["scattered", "gapped rows", "constant last", "diagonal", "one point"]))
+    if kind == "one point":
+        pts = [draw(point)]
+    elif kind == "diagonal":
+        pts = [(t,) * n for t in draw(st.lists(coord, max_size=8))]
+    elif kind == "gapped rows":
+        pts = []
+        for head in draw(st.lists(st.tuples(*[coord] * (n - 1)), min_size=1, max_size=4)):
+            for lo, length in draw(st.lists(st.tuples(coord, st.integers(1, 5)), min_size=1, max_size=3)):
+                pts += [(*head, x) for x in range(lo, lo + length)]
+    else:
+        pts = draw(st.lists(point, max_size=12))
+        if kind == "constant last":
+            c = draw(coord)
+            pts = [(*p[:-1], c) for p in pts]
+    return PointSet(n, tuple(pts))
+
+
+SQUARE = PointSet(2, ((0, 0), (0, 1), (1, 0), (1, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(point_sets(n), point_sets(n))))
+# a run of A's codes crosses rows unless the last digit has a spare value
+@example((SQUARE, PointSet(2, ((3, -2),))))
+@example((PointSet(2, ((0, 5),)), SQUARE))
+# one row with a gap on each side, and runs whose lengths add up to the row width
+@example((PointSet(2, ((0, 0), (0, 1), (0, 4))), PointSet(2, ((0, 0), (0, 3), (0, 4)))))
+@example((PointSet(1, ((0,), (1,), (2,))), PointSet(1, ((-1,), (0,)))))
+@example((PointSet(3, ((-1, -1, -1), (0, 0, 0), (2, 2, 2))), PointSet(3, ((1, 1, 1), (3, 3, 3)))))
+@example((PointSet(4, ()), PointSet(4, ((1, -2, 3, -4),))))
+def test_point_set_sum_matches_pairwise_off_convex_inputs(pair):
+    A, B = pair
+    pairwise = {tuple(x + y for x, y in zip(a, b)) for a in A for b in B}
+    assert point_set_sum(A, B).points == tuple(sorted(pairwise))
+    assert point_set_sum(A, B) == columnar_sum(A, B)
+    assert point_set_sum(B, A) == columnar_sum(B, A)
+
+
 # ---------------------------------------------------------------------------
 # IDP
 
