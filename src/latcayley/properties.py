@@ -149,11 +149,12 @@ def point_set_sum(A: PointSet, B: PointSet) -> PointSet:
     s0 = e0 = 0  # the merged run [s0, e0) being built
     for key in sorted({x + y for x in ka for y in kb}):
         s, k = divmod(key, W + 1)
+        e = s + k - 1
         if s > e0:
             codes += range(s0, e0)
-            s0, e0 = s, s + k - 1
-        elif s + k - 1 > e0:
-            e0 = s + k - 1
+            s0, e0 = s, e
+        elif e > e0:
+            e0 = e
     codes += range(s0, e0)
     cols = []
     for w, la, lb in zip(widths[::-1], lo_a[::-1], lo_b[::-1]):
