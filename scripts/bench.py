@@ -5,9 +5,13 @@ side goes first, and records for every pair both sides' end-to-end metrics,
 their ``correct``/``failed`` counts and the speed factor the run reports
 ("the machine ran at ...x reference speed").  The record holds, per metric,
 each side's median and quartiles and how many pairs the change won (ties
-count for neither side), with the seeds, the speed factors and both commits.
-Which way a metric is better comes from BENCHMARK.json.  Uses only the
-standard library.  Example, from the root of the change's checkout:
+count for neither side), with the seeds, the speed factors, both commits and
+each side's total of failed items.  Runs take perfbench's own run length.
+Which way a metric is better comes from BENCHMARK.json.  Both checkouts must
+be clean git checkouts, so the recorded commits are the code that ran.  The
+record is clean, and the script exits 0, only when every run was correct,
+failed no item and exited 0.  Uses only the standard library.  Example, from
+the root of the change's checkout:
 
     python scripts/bench.py --parent ../parent --change . --workload level \\
         --seeds 201 --pairs 10 --tag level_sumset
@@ -30,23 +34,25 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEED = re.compile(r"ran at ([0-9.]+)x reference speed")
 
 
-def commit(checkout: Path) -> str | None:
-    """The checkout's HEAD commit, or None when it is not a git checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "-C", str(checkout), "rev-parse", "HEAD"],
-            capture_output=True, text=True, check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
+def git(checkout: Path, *args: str) -> str:
+    out = subprocess.run(
+        ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True,
+    )
     return out.stdout.strip()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def commit(checkout: Path) -> str:
+    """The checkout's HEAD commit; refuses a checkout with uncommitted changes."""
+    if git(checkout, "status", "--porcelain"):
+        raise SystemExit(f"error: {checkout} has uncommitted changes; commit or clone first")
+    return git(checkout, "rev-parse", "HEAD")
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced perfbench run: its final JSON line plus the speed factor."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -96,7 +102,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--pairs", type=int, default=None, help="default: one per seed")
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--tag", required=True)
     ap.add_argument("--out", type=Path, default=None, help="directory for the record")
     args = ap.parse_args(argv)
@@ -104,23 +109,27 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {s: commit(d) for s, d in sides.items()}
     pairs = []
     for i in range(args.pairs or len(args.seeds)):
         seed = args.seeds[i % len(args.seeds)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(sides[side], args.workload, seed)
         pairs.append(pair)
         rate = {s: pair[s]["metrics"].get("items_per_s") for s in ("parent", "change")}
         print(f"pair {i}: seed {seed}, {order[0]} first, items_per_s {rate}", flush=True)
 
     record = {
         "workload": args.workload,
-        "seconds": args.seconds,
         "seeds": args.seeds,
-        "commits": {s: commit(d) for s, d in sides.items()},
-        "all_correct": all(p[s]["correct"] for p in pairs for s in sides),
+        "commits": commits,
+        "all_correct": all(
+            p[s]["correct"] and p[s]["failed"] == 0 and p[s]["exit_code"] == 0
+            for p in pairs for s in sides
+        ),
+        "failed": {s: sum(p[s]["failed"] for p in pairs) for s in sides},
         "speed_factors": {s: [p[s]["speed_factor"] for p in pairs] for s in sides},
         "summary": summarize(pairs, better),
         "pairs": pairs,

@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -73,9 +72,9 @@ class PointSet:
     def __post_init__(self) -> None:
         # insertion-ordered dedup: points that arrive sorted sort in linear time
         unique = dict.fromkeys(map(tuple, self.points))
-        if set(map(len, unique)) - {self.ambient_dim}:
+        if any(len(p) != self.ambient_dim for p in unique):
             raise DimensionMismatch("point length disagrees with ambient_dim")
-        if set(map(type, chain.from_iterable(unique))) - {int}:
+        if not all(type(x) is int for p in unique for x in p):
             if not all(is_integer_vec(p) for p in unique):
                 raise GeometryError("lattice point coordinates must be integers")
             unique = dict.fromkeys(tuple(map(int, p)) for p in unique)

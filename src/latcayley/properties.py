@@ -5,10 +5,8 @@ the level index, levelness, the Gorenstein property, and the sufficient
 edge-length criterion for 2-convex-normality.
 
 Every decomposition question (IDP, tuple IDP, levelness) is one sumset
-equality, decided by ``_first_missing`` through the one sumset kernel,
-``point_set_sum``.  That kernel adds runs of consecutive last coordinates,
-packed as ints, instead of point pairs: lattice points of a convex body meet
-every line in one interval, so for them the work is rows times rows.
+equality, decided by ``_first_missing`` through ``point_set_sum``, the one
+sumset kernel.
 
 Verdict semantics: IDP checks certify.  Checking the decomposition equality
 up to degree max(2, d-1) is a complete certificate, because the equality
