@@ -11,7 +11,11 @@ Two commits print the same digests exactly when their outputs agree on:
 - ``campaigns``: every theorem campaign at two seeds;
 - ``covers``: 1000 seeded direct ``CoverageQuery``s in both modes, in
   ambient dimensions 1-3, with dilate, Minkowski-sum and random targets,
-  lower-dimensional bases in closed mode and random nonempty shift subsets.
+  lower-dimensional bases in closed mode and random nonempty shift subsets;
+- ``hulls``: ``convex_hull`` and ``affine_hull`` on 1000 seeded point sets:
+  dense planar sets and sums of three polygons, sets in dimensions 3-5, sets
+  on a hyperplane and Cayley-type sets at unit heights, collinear sets, and
+  sets with ``Fraction`` coordinates, each with duplicates, in random order.
 
 Timestamps are stripped before hashing.  To compare two commits, run it
 against each checkout and diff the output:
@@ -25,6 +29,8 @@ import io
 import json
 import os
 import re
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from random import Random
 
@@ -41,7 +47,14 @@ from latcayley import (
 from latcayley import covering  # the module: ``covers`` names a section here
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, main
-from latcayley.geometry import CellBudgetExceeded, GeometryError, Mode, vec_sub
+from latcayley.geometry import (
+    CellBudgetExceeded,
+    GeometryError,
+    Mode,
+    affine_hull,
+    convex_hull,
+    vec_sub,
+)
 from latcayley.reproduce import EXAMPLE_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,9 +145,47 @@ def covers():
         yield f"{i} {out}"
 
 
+def _hull_points(rng: Random, i: int) -> list:
+    kind = i % 6
+    n = 2 if kind < 2 else rng.randint(3, 5)
+
+    def box(r: int, k: int) -> list:  # k random points of [-r, r]^n
+        return [tuple(rng.randint(-r, r) for _ in range(n)) for _ in range(k)]
+
+    if kind == 0:  # dense planar
+        pts = box(5, rng.randint(20, 80))
+    elif kind == 1:  # three polygons summed: mostly interior candidates
+        pts = [tuple(map(sum, zip(*ps))) for ps in product(*(box(3, 5) for _ in range(3)))]
+    elif kind == 2:
+        pts = box(3, rng.randint(n + 1, 14))
+    elif kind == 3:  # on a hyperplane, or Cayley-type at unit heights
+        pts = box(3, rng.randint(2, 12))
+        if rng.random() < 0.5:
+            a = [rng.randint(-2, 2) for _ in range(n - 1)]
+            pts = [p[:-1] + (sum(x * y for x, y in zip(a, p)) + 1,) for p in pts]
+        else:
+            m = rng.randint(2, n - 1)
+            pts = [tuple(int(j == p[0] % m) for j in range(m)) + p[m:] for p in pts]
+    elif kind == 4:  # collinear
+        base, step = box(3, 2)
+        pts = [tuple(b + t * s for b, s in zip(base, step)) for t in rng.sample(range(-4, 5), rng.randint(1, 6))]
+    else:
+        pts = [tuple(Fraction(x, rng.randint(1, 4)) for x in p) for p in box(3, rng.randint(1, 12))]
+    pts += rng.choices(pts, k=rng.randint(0, 3))
+    rng.shuffle(pts)
+    return pts
+
+
+def hulls():
+    rng = Random(0)
+    for i in range(1000):
+        pts = _hull_points(rng, i)
+        yield f"{i} {convex_hull(pts)!r} {affine_hull(pts)!r}"
+
+
 def run() -> None:
     os.chdir(ROOT)
-    for section in (fixtures, random, reproduce, campaigns, covers):
+    for section in (fixtures, random, reproduce, campaigns, covers, hulls):
         h = hashlib.sha256()
         for record in section():
             h.update(record.encode("utf-8") + b"\0")

@@ -5,15 +5,10 @@ floating point, so every predicate is a decision, not an estimate.  All public
 objects are immutable and all functions are pure, so they are safe to call
 concurrently.
 
-All linear algebra (rank, kernels, affine hulls, facet normals) goes through
-one fraction-free Gauss-Jordan elimination over the integers, ``_echelon``.
-Convex hulls are built in exact integer arithmetic by beneath-beyond
-insertion: the points are scaled once to integers, and the hull boundary is
-kept as a set of simplices whose outward normals span the kernel of their
-edge vectors and the equality normals.  A point is inserted only when
-it lies strictly beyond some simplex, so it is never in the affine span of a
-ridge it is joined to, and no degenerate simplex can arise.  Planar hulls use
-a monotone chain instead.
+Ranks, kernels and facet normals go through one fraction-free Gauss-Jordan
+elimination over the integers, ``_echelon``; affine hulls go through one
+greedy independence pass, ``_simplex``.  ``convex_hull`` is the one hull
+routine: beneath-beyond insertion in exact integers, described there.
 """
 
 from __future__ import annotations
@@ -284,20 +279,41 @@ def _validate_points(points) -> list[Vec]:
     return pts
 
 
-def affine_hull(points) -> tuple[int, tuple[Hyperplane, ...]]:
-    """Dimension and canonical cutting hyperplanes of the affine hull.
+def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Hyperplane, ...]]:
+    """One greedy pass over a point set for its affine hull and a starting simplex.
 
-    The equality normals are the reduced echelon rows of the orthogonal
-    complement of the direction space, so the same affine subspace always
-    yields the same tuple regardless of input order or redundancy.
+    The points are scaled by the lcm L of their denominators to integers, and
+    each edge vector p - pts[0] is reduced, fraction-free, against the rows
+    taken so far; a nonzero remainder is a new row.  Returns L, the scaled
+    points, the indices taken (pts[0] first; one more than the dimension) and
+    the equalities, whose normals are the reduced echelon rows of the
+    orthogonal complement of the rows, so they depend only on the subspace.
     """
-    pts = _validate_points(points)
-    n = len(pts[0])
-    base = pts[0]
-    normals = nullspace([vec_sub(p, base) for p in pts[1:]], n)
-    red, _ = _echelon(normals)
-    eqs = sorted((Hyperplane(tuple(row), dot(row, base)) for row in red), key=lambda h: h.normal)
-    return n - len(normals), tuple(eqs)
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    base, n = ipts[0], len(ipts[0])
+    simplex = [0]
+    rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for i in range(1, len(ipts)):
+        if len(rows) == n:
+            break
+        e = [a - b for a, b in zip(ipts[i], base)]
+        for c, row in rows:
+            if e[c]:
+                e = [row[c] * x - e[c] * y for x, y in zip(e, row)]
+        if any(e):
+            g = math.gcd(*e)
+            rows.append((next(c for c, x in enumerate(e) if x), [x // g for x in e]))
+            simplex.append(i)
+    red, _ = _echelon(nullspace([row for _, row in rows], n))
+    eqs = sorted((Hyperplane(tuple(row), dot(row, pts[0])) for row in red), key=lambda h: h.normal)
+    return scale, ipts, simplex, tuple(eqs)
+
+
+def affine_hull(points) -> tuple[int, tuple[Hyperplane, ...]]:
+    """Dimension and canonical cutting hyperplanes of the affine hull, whatever the input order."""
+    _, _, simplex, eqs = _simplex(_validate_points(points))
+    return len(simplex) - 1, eqs
 
 
 def dimension(points) -> int:
@@ -305,78 +321,39 @@ def dimension(points) -> int:
     return affine_hull(points)[0]
 
 
-def _hull_2d(pts: list[Vec]) -> tuple[list[Vec], list[Facet]]:
-    """Monotone chain for full-dimensional point sets in the plane."""
-
-    def cross(o: Vec, a: Vec, b: Vec) -> Scalar:
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    spts = sorted(set(pts))
-    lower: list[Vec] = []
-    for p in spts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(spts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    cycle = lower[:-1] + upper[:-1]  # counterclockwise
-    facets: list[Facet] = []
-    for v, w in zip(cycle, cycle[1:] + cycle[:1]):
-        d = vec_sub(w, v)
-        normal = primitive((d[1], -d[0]))
-        facets.append((normal, norm_scalar(dot(normal, v))))
-    return cycle, facets
-
-
 def _beneath_beyond(
-    pts: list[IntVec], dim: int, eq_normals: list[IntVec]
+    pts: list[IntVec], simplex: list[int], eq_normals: list[IntVec]
 ) -> dict[tuple[int, ...], tuple[IntVec, int]]:
-    """Simplicial boundary of conv(pts) for distinct integer points of affine dimension dim >= 1.
-
-    Maps the sorted corner indices of each boundary simplex to its outward
-    primitive normal u and offset c (u.x <= c on the hull).  The normal spans
-    the one-dimensional kernel of the simplex's edge vectors stacked on the
-    equality normals, so it lies in the direction space of the affine hull.
+    """Simplicial boundary of conv(pts), distinct integer points whose affine
+    hull the starting simplex spans, by insertion as ``convex_hull`` describes:
+    sorted corner indices of each boundary simplex -> its outward primitive
+    normal u and offset c, with u.x <= c on the hull.
     """
-    simplex = [0]
-    edges: list[list[int]] = []
-    for i in range(1, len(pts)):
-        if len(simplex) == dim + 1:
-            break
-        e = [a - b for a, b in zip(pts[i], pts[0])]
-        if rank(edges + [e]) > len(edges):
-            edges.append(e)
-            simplex.append(i)
+    dim = len(simplex) - 1
     # (dim+1) times the barycenter of the first simplex: strictly inside every later hull
     inner = [sum(c) for c in zip(*(pts[i] for i in simplex))]
-    eq_rows = [list(e) for e in eq_normals]
-    n = len(pts[0])
 
     def facet(corners: tuple[int, ...]) -> tuple[IntVec, int]:
         p0 = pts[corners[0]]
-        rows = [[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_rows
-        (u,) = nullspace(rows, n)
+        rows = [[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_normals
+        (u,) = nullspace(rows, len(p0))
         c = dot(u, p0)
         if dot(u, inner) > (dim + 1) * c:
             return tuple(-x for x in u), -c
         return u, c
 
-    boundary = {}
-    for j in range(dim + 1):
-        corners = tuple(simplex[:j] + simplex[j + 1:])
-        boundary[corners] = facet(corners)
-    placed = set(simplex)
-    for i, p in enumerate(pts):
-        if i in placed:
-            continue
+    def spread(i: int) -> int:  # (dim+1)^2 times the squared distance from the barycenter
+        return sum(((dim + 1) * x - y) ** 2 for x, y in zip(pts[i], inner))
+
+    boundary = {corners: facet(corners) for corners in combinations(simplex, dim)}
+    rest = [i for i in range(len(pts)) if i not in simplex]
+    for i in sorted(rest, key=spread, reverse=True):  # farthest first
+        p = pts[i]
         visible = [s for s, (u, c) in boundary.items() if dot(u, p) > c]
         ridges: Counter[tuple[int, ...]] = Counter()
         for s in visible:
             del boundary[s]
-            ridges.update(s[:j] + s[j + 1:] for j in range(dim))
+            ridges.update(combinations(s, dim - 1))
         for ridge, count in ridges.items():
             if count == 1:  # on the horizon: its other simplex stays
                 corners = tuple(sorted(ridge + (i,)))
@@ -391,19 +368,21 @@ def convex_hull(points) -> DualDescription:
     (orthogonal to every equality normal), which makes them unique up to the
     primitive-outward normalization.
 
-    Planar full-dimensional sets go through a monotone chain.  Every other set
-    is scaled by the lcm L of its denominators and built by beneath-beyond
-    insertion in exact integers: a point joins the hull only when it lies
-    strictly beyond some boundary simplex, and is then coned to the horizon
-    ridges (those shared by exactly one visible simplex); each new simplex's
-    normal is the one kernel vector of its edges and the equality normals.
-    Because the point is strictly off the hyperplane of the visible simplex,
-    it is off the affine span of every ridge of it, so coplanar points never
-    make a degenerate simplex.  Coplanar simplices are merged by (normal, offset), the
-    offsets divided by L, and a simplex corner is a vertex iff its tight
-    facet normals and the equality normals have full rank.
-    Raises CellBudgetExceeded when there are more distinct candidate points
-    than the cell budget (LATCAYLEY_CELL_BUDGET).
+    One greedy pass (``_simplex``) scales the distinct points by the lcm L of
+    their denominators to integers and gives the dimension, the equalities and
+    a starting simplex.  Beneath-beyond then inserts the other points farthest
+    first from that simplex's barycenter, so extreme points go in early and
+    the points they enclose are dropped after one visibility scan.  A point
+    joins the hull only when it lies strictly beyond some boundary simplex,
+    and is then coned to the horizon ridges (those shared by exactly one
+    visible simplex); each new simplex's normal is the one kernel vector of
+    its edges and the equality normals.  Because the point is strictly off the
+    hyperplane of the visible simplex, it is off the affine span of every
+    ridge of it, so coplanar points never make a degenerate simplex.  Coplanar
+    simplices are merged by (normal, offset), the offsets divided by L, and a
+    simplex corner is a vertex iff its tight facet normals and the equality
+    normals have full rank.  Raises CellBudgetExceeded when there are more
+    distinct candidate points than the cell budget (LATCAYLEY_CELL_BUDGET).
     """
     pts = _validate_points(points)
     n = len(pts[0])
@@ -414,24 +393,18 @@ def convex_hull(points) -> DualDescription:
             f"convex hull of {len(cand)} distinct points exceeds the budget of {budget}; "
             f"raise {CELL_BUDGET_ENV} to allow more"
         )
-    dim, eqs = affine_hull(cand)
-    if dim == 0:
+    scale, ipts, simplex, eqs = _simplex(cand)
+    if len(simplex) == 1:
         return DualDescription(n, 0, (cand[0],), (), eqs)
-    if n == 2 and dim == 2:
-        cycle, facets = _hull_2d(cand)
-        verts = tuple(sorted(cycle))
-        return DualDescription(n, 2, verts, tuple(sorted(facets)), eqs)
     eq_normals = [h.normal for h in eqs]
-    scale = math.lcm(*(x.denominator for p in cand for x in p))
-    ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in cand]
-    boundary = _beneath_beyond(ipts, dim, eq_normals)
+    boundary = _beneath_beyond(ipts, simplex, eq_normals)
     tight: defaultdict[int, set[IntVec]] = defaultdict(set)
     for corners, (normal, _) in boundary.items():
         for i in corners:
             tight[i].add(normal)
     verts = [cand[i] for i, normals in tight.items() if rank([*normals, *eq_normals]) == n]
     facets = {(normal, norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
-    return DualDescription(n, dim, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
+    return DualDescription(n, len(simplex) - 1, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
 
 
 def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:

@@ -27,6 +27,7 @@ from .geometry import (
     Mode,
     _piece_edges,
     _tight_masks,
+    affine_hull,
     cell_budget,
     convex_hull,
     dot,
@@ -132,11 +133,12 @@ def dilate(P: LatticePolytope, factor: int) -> LatticePolytope:
     """The dilate factor*P; factor 0 collapses to the origin point."""
     if not isinstance(factor, int) or factor < 0:
         raise GeometryError(f"dilation factor must be a nonnegative integer, got {factor!r}")
+    d = P.desc
     if factor == 0:
-        return from_vertices([(0,) * P.ambient_dim])
+        origin = (0,) * d.ambient_dim
+        return LatticePolytope(DualDescription(d.ambient_dim, 0, (origin,), (), affine_hull([origin])[1]))
     if factor == 1:
         return P
-    d = P.desc
     verts = tuple(tuple(x * factor for x in v) for v in d.vertices)
     facets = tuple((n, c * factor) for n, c in d.facets)
     eqs = tuple(Hyperplane(h.normal, h.offset * factor) for h in d.equalities)
@@ -191,7 +193,9 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     integer (an integer normal dotted with an integer vertex), so a facet
     u.x <= c is kept as is, and in relative-interior mode it becomes
     u.x <= c - 1, which over the integers is exactly u.x < c.  Each equality
-    becomes two rows.
+    becomes two rows.  Level 0 needs no hull: pi_0(P) is the interval between
+    the least and greatest first coordinate of a vertex, which shrinks by one
+    at each end in relative-interior mode unless it is a single point.
 
     By induction every prefix accepted at level k lies in pi_k(P), or in
     relint pi_k(P) = pi_k(relint P) (Rockafellar, Convex Analysis, Thm 6.6).
@@ -210,8 +214,12 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     # levels[k] = (upper, lower); a row (head, m, r) bounds x_k above by
     # (r - head.x) // m, or below by -((r - head.x) // m)
     levels: list[tuple[list, list]] = [([], []) for _ in range(n)]
+    lo, hi = min(v[0] for v in desc.vertices), max(v[0] for v in desc.vertices)
+    if lo < hi:
+        lo, hi = lo + strict, hi - strict
+    levels[0] = ([((), 1, hi)], [((), 1, -lo)])
     proj = desc
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, 0, -1):
         if k < n - 1:
             proj = convex_hull({v[: k + 1] for v in proj.vertices})
         rows = [(u, c - strict) for u, c in proj.facets]
@@ -244,16 +252,34 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     return out
 
 
+_cached_points = 0  # taken in by the enumeration caches since last emptied, evicted entries too
+
+
+def _admit(points: PointSet) -> PointSet:
+    """Count a cache miss's points, first emptying the enumeration caches if the count would
+    pass the cell budget (LATCAYLEY_CELL_BUDGET), so they never hold more points than it."""
+    global _cached_points
+    if _cached_points + len(points) > cell_budget():
+        for cache in _ENUMERATION_CACHES:
+            cache.cache_clear()
+        _cached_points = 0
+    _cached_points += len(points)
+    return points
+
+
 @lru_cache(maxsize=512)
 def lattice_points(P: LatticePolytope) -> PointSet:
     """All integer points of P (exactly those accepted by closed containment)."""
-    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED)))
+    return _admit(PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED))))
 
 
 @lru_cache(maxsize=512)
 def interior_lattice_points(P: LatticePolytope) -> PointSet:
     """Integer points of relint(P) (exactly those accepted by relative-interior containment)."""
-    return PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR)))
+    return _admit(PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
+
+
+_ENUMERATION_CACHES = (lattice_points, interior_lattice_points)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,10 +235,14 @@ def _reference_hull(points):
 @st.composite
 def _hull_inputs(draw):
     """Point sets in dimensions 1-5: full-dimensional, on a hyperplane, Cayley-type
-    at unit heights, with rational coordinates, and with duplicates."""
-    kind = draw(st.sampled_from(["full", "hyperplane", "cayley", "fraction"]))
-    n = draw(st.integers(4, 5) if kind == "cayley" else st.integers(1, 5))
+    at unit heights, with rational coordinates, and with duplicates; and dense
+    planar sets, the sums of three polygons, up to 125 candidates mostly inside."""
+    kind = draw(st.sampled_from(["full", "hyperplane", "cayley", "fraction", "planar-sum"]))
     coord = st.integers(-3, 3)
+    if kind == "planar-sum":
+        polygon = st.lists(st.tuples(coord, coord), min_size=5, max_size=5)
+        return [tuple(map(sum, zip(*ps))) for ps in product(*(draw(polygon) for _ in range(3)))]
+    n = draw(st.integers(4, 5) if kind == "cayley" else st.integers(1, 5))
     pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=10 if n < 5 else 8))
     if kind == "hyperplane" and n >= 2:
         a = draw(st.tuples(*[st.integers(-2, 2)] * (n - 1)))

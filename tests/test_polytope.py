@@ -180,6 +180,23 @@ def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enume
     assert len(lattice_points(dilate(unit_square, 2))) == 9
 
 
+def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
+    monkeypatch, unit_square, cold_enumeration_cache
+):
+    monkeypatch.setenv(CELL_BUDGET_ENV, "200")
+    sizes = {lattice_points: [], interior_lattice_points: []}  # per cache, its misses in order
+    for n in range(1, 14):  # 196 points at n = 13, 1014 over all n in both modes
+        for cache, missed in sizes.items():
+            missed.append(len(cache(dilate(unit_square, n))))
+            # a cache holding k entries holds its last k misses
+            held = sum(sum(m[len(m) - c.cache_info().currsize:]) for c, m in sizes.items())
+            assert held <= 200
+    # the miss that passed the budget emptied both caches and kept its own result
+    assert interior_lattice_points.cache_info().currsize < 13
+    interior_lattice_points(dilate(unit_square, 13))
+    assert interior_lattice_points.cache_info().hits == 1
+
+
 def test_translate_moves_lattice_points(unit_square):
     moved = translate(unit_square, (2, -1))
     assert moved.vertices == ((2, -1), (2, 0), (3, -1), (3, 0))
@@ -241,6 +258,12 @@ def test_dilate():
     assert dilate(T, 0).vertices == ((0, 0),)
     with pytest.raises(GeometryError):
         dilate(T, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_dilate_by_zero_is_the_origin(n):
+    Q = from_vertices([tuple(range(1, n + 1)), (2,) * n, (-1,) + (3,) * (n - 1)])
+    assert dilate(Q, 0).desc == from_vertices([(0,) * n]).desc
 
 
 def test_cayley_slice_counts_the_extra_point():
