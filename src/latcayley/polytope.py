@@ -252,12 +252,12 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     return out
 
 
-_cached_points = 0  # taken in by the enumeration caches since last emptied, evicted entries too
+_cached_points = 0  # points the enumeration caches took in since last emptied: never fewer than held
 
 
 def _admit(points: PointSet) -> PointSet:
-    """Count a cache miss's points, first emptying the enumeration caches if the count would
-    pass the cell budget (LATCAYLEY_CELL_BUDGET), so they never hold more points than it."""
+    """Count a cache miss's points, first emptying both caches (held by object: a tracer may rebind
+    their module names) if the count would pass the cell budget (LATCAYLEY_CELL_BUDGET)."""
     global _cached_points
     if _cached_points + len(points) > cell_budget():
         for cache in _ENUMERATION_CACHES:
