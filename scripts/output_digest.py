@@ -39,6 +39,7 @@ from latcayley import (
     CoverageQuery,
     PointSet,
     dilate,
+    from_vertices,
     lattice_points,
     minkowski_sum,
     random_lattice_polytope,
@@ -134,15 +135,37 @@ def _cover_query(rng: Random, i: int) -> CoverageQuery:
     return CoverageQuery(target, base, shifts, mode)
 
 
+def _report(decide, arg) -> str:
+    try:
+        return json.dumps(decide(arg).to_dict(), sort_keys=True)
+    except (GeometryError, CellBudgetExceeded) as e:  # a refusal is output too
+        return f"{type(e).__name__}: {e}"
+
+
 def covers():
     rng = Random(0)
     for i in range(1000):
-        q = _cover_query(rng, i)
-        try:
-            out = json.dumps(covering.covers(q).to_dict(), sort_keys=True)
-        except (GeometryError, CellBudgetExceeded) as e:
-            out = f"{type(e).__name__}: {e}"
-        yield f"{i} {out}"
+        yield f"{i} {_report(covering.covers, _cover_query(rng, i))}"
+
+
+# conv of these 7 points: 8 lattice points and 9 facets
+P4 = [(-1, 0, -1, 1), (-1, 0, 0, 1), (0, 1, -1, 0), (1, -1, 0, -1), (1, 0, 0, -1), (1, 0, 1, -1), (1, 1, -1, 0)]
+
+
+def covers4d():
+    P = from_vertices(P4)
+    for k in (2, 3):
+        for decide in (covering.is_2_convex_normal, covering.has_interior_translate_cover):
+            yield f"{k}P4 {_report(decide, dilate(P, k))}"
+    rng = Random(0)
+    for i in range(16):
+        mode = Mode.CLOSED if i % 2 == 0 else Mode.RELATIVE_INTERIOR
+        base = random_lattice_polytope(rng.randrange(2**30), 4, 4, coord_bound=1)
+        k = rng.randint(2, 3)
+        pool = lattice_points(dilate(base, k - 1)).points
+        shifts = pool if rng.random() < 0.5 else sorted(rng.sample(pool, rng.randint(1, len(pool))))
+        q = CoverageQuery(dilate(base, k), base, PointSet(4, tuple(shifts)), mode)
+        yield f"{i} {_report(covering.covers, q)}"
 
 
 def _hull_points(rng: Random, i: int) -> list:
@@ -185,7 +208,7 @@ def hulls():
 
 def run() -> None:
     os.chdir(ROOT)
-    for section in (fixtures, random, reproduce, campaigns, covers, hulls):
+    for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls):
         h = hashlib.sha256()
         for record in section():
             h.update(record.encode("utf-8") + b"\0")

@@ -1,17 +1,19 @@
 """Exact decider for covering a target polytope by lattice translates of a base.
 
-``covers`` subtracts translates from the target recursively.  The translates
-are classified once against the target into one table: shared rows of
-normals, and one row of offsets per translate.  A piece's barycenter is
-evaluated on those normals once, and the first remaining translate whose
-offsets accept it is carved out of the piece along its facet halfspaces, one
-at a time.  That leaves closed branches whose union is exactly the piece
-minus the translate's region, so the decision is exact in both the closed
-and the relative-interior mode.  A piece is its vertices with one incidence
-bitmask each, which every cut updates exactly, so its edges come from the
-combinatorial adjacency test of the double description method.  It is the
-only covering decider; ``is_2_convex_normal`` and
-``has_interior_translate_cover`` pose their questions through it.
+``covers`` subtracts translates from the target recursively, in integers
+only.  The translates are classified once against the target into one table:
+shared rows of normals, one row of integer offsets per translate, and per row
+a bitmask of the translates at or above each offset.  A piece's barycenter
+values on the rows are rounded (up in closed mode, down in the relative-
+interior one) and looked up, and the lowest remaining translate containing it
+is carved out of the piece along its facet halfspaces, one at a time.  That
+leaves closed branches whose union is exactly the piece minus the
+translate's region, so the decision is exact in both modes.  A piece is its
+vertices, as homogeneous integer vectors, with one incidence bitmask each,
+which every cut updates exactly, so its edges come from the combinatorial
+adjacency test of the double description method.  It is the only covering
+decider; ``is_2_convex_normal`` and ``has_interior_translate_cover`` pose
+their questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
@@ -23,9 +25,12 @@ deterministic subtraction order is used.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
+from math import gcd, lcm
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -34,7 +39,6 @@ from .geometry import (
     GeometryError,
     IntVec,
     Mode,
-    Scalar,
     Vec,
     _piece_edges,
     _tight_masks,
@@ -68,12 +72,12 @@ class CoverageQuery:
 # the translates' row table
 
 
-def _constant_value(normal: IntVec, verts: tuple[Vec, ...]) -> Scalar | None:
-    vals = {norm_scalar(dot(normal, v)) for v in verts}
+def _constant_value(normal: IntVec, verts: tuple[IntVec, ...]) -> int | None:
+    vals = {dot(normal, v) for v in verts}
     return vals.pop() if len(vals) == 1 else None
 
 
-def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, list[tuple[Scalar, ...]]]:
+def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, list[IntVec]]:
     """The translates as one row table ``(normals, carve, offsets)``.
 
     ``normals`` holds the base's facet normals that vary on the target (the
@@ -83,7 +87,8 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
     its row for the whole target: the translate is dropped, or the row holds
     everywhere there and is left out.  So a target point ``x`` lies in
     translate ``i`` iff ``u.x <= off`` on every row, and in its open region iff
-    ``u.x < off`` (relative-interior mode refuses varying equalities).
+    ``u.x < off`` (relative-interior mode refuses varying equalities).  The
+    offsets are integers, as the base is a lattice polytope.
     """
     base = q.translate_base.desc
     tverts = q.target.desc.vertices
@@ -96,10 +101,10 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
         if val is None:
             normals += [h.normal, tuple(-x for x in h.normal)]
 
-    def row(t: IntVec) -> tuple[Scalar, ...] | None:
-        out: list[Scalar] = []
+    def row(t: IntVec) -> IntVec | None:
+        out: list[int] = []
         for (normal, c), val in zip(base.facets, fconst):
-            off = norm_scalar(c + dot(normal, t))
+            off = c + dot(normal, t)
             if val is None:
                 out.append(off)
             elif val > off or (relint and val == off):
@@ -107,7 +112,7 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
                 # mode, is never strict there)
                 return None
         for h, val in zip(base.equalities, econst):
-            off = norm_scalar(h.offset + dot(h.normal, t))
+            off = h.offset + dot(h.normal, t)
             if val is None:
                 out += [off, -off]
             elif val != off:
@@ -115,6 +120,8 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
         return tuple(out)
 
     offsets = [r for r in map(row, sorted(q.translations)) if r is not None]
+    if any(type(off) is not int for r in offsets for off in r):
+        raise AssertionError("a translate offset is not an integer")
     if relint and offsets and len(normals) > carve:
         raise GeometryError(
             "RelativeInterior covering needs every translate to span the "
@@ -123,32 +130,47 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
     return tuple(normals), carve, offsets
 
 
+def _row_index(offsets: list[IntVec], nrows: int) -> list[tuple[list[int], list[int]]]:
+    """Per row, its distinct offsets ascending and, beside each, the bitmask
+    of the translates whose offset is at least that value (then a final 0)."""
+    index = []
+    for k in range(nrows):
+        col = sorted(((r[k], i) for i, r in enumerate(offsets)), reverse=True)
+        at_least = dict(zip((off for off, _ in col), accumulate((1 << i for _, i in col), operator.or_)))
+        index.append(([*at_least][::-1], [*at_least.values()][::-1] + [0]))
+    return index
+
+
 # ---------------------------------------------------------------------------
 # the subtraction decider
 
 
 @dataclass(frozen=True)
 class _Piece:
-    """A closed polytope produced by cutting: sorted vertices and their
-    incidences.  Bit ``k`` of ``masks[i]`` is set iff constraint ``k`` (a
-    target facet or a cut made so far) is tight at vertex ``i``; that is all
-    the adjacency test of ``_piece_edges`` needs."""
+    """A closed polytope produced by cutting: its vertices, each ``x`` as the
+    homogeneous integer vector ``(w*x, w)`` with ``w > 0`` and gcd 1, in no
+    particular order, and their incidences.  Bit ``k`` of ``masks[i]`` is set
+    iff constraint ``k`` (a target facet or a cut made so far) is tight at
+    vertex ``i``; that is all the adjacency test of ``_piece_edges`` needs."""
 
-    vertices: tuple[Vec, ...]
+    vertices: tuple[IntVec, ...]
     masks: tuple[int, ...]
 
 
-def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | None, _Piece | None]:
+def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | None, _Piece | None]:
     """Split a piece along normal.x = offset into (<= side, >= side).
 
-    The masks are updated, never recomputed.  The cut takes a bit no vertex
-    uses; a kept vertex gains it iff it lies on the hyperplane.  The crossing
-    ``(vi*q - vj*p) / (vi - vj)`` on an edge ``(i, j)`` with ends ``p``, ``q``
-    and cut values ``vi``, ``vj`` gets ``masks[i] & masks[j]`` plus the cut
-    bit: a constraint valid on the piece is tight at an interior point of a
-    segment iff it is tight at both ends.
+    A vertex ``V`` takes the cut value ``(normal, -offset).V``, an integer of
+    the sign of ``normal.x - offset``.  The masks are updated, never
+    recomputed.  The cut takes a bit no vertex uses; a kept vertex gains it
+    iff it lies on the hyperplane.  The crossing ``vi*Vj - vj*Vi`` (made
+    canonical) on an edge ``(i, j)`` with cut values ``vi``, ``vj`` lies
+    strictly inside the edge, so it repeats no vertex, and gets ``masks[i] &
+    masks[j]`` plus the cut bit: a constraint valid on the piece is tight at
+    an interior point of a segment iff it is tight at both ends.
     """
-    vals = [norm_scalar(dot(normal, v) - offset) for v in piece.vertices]
+    h = (*normal, -offset)
+    vals = [dot(h, v) for v in piece.vertices]
     if all(v >= 0 for v in vals):
         return None, piece
     if all(v <= 0 for v in vals):
@@ -159,16 +181,16 @@ def _cut_piece(piece: _Piece, normal: IntVec, offset: Scalar) -> tuple[_Piece | 
     for i, j in _piece_edges(piece.vertices, piece.masks):
         vi, vj = vals[i], vals[j]
         if (vi > 0 > vj) or (vi < 0 < vj):
-            p, q = piece.vertices[i], piece.vertices[j]
-            x = tuple(norm_scalar(Fraction(vi * b - vj * a, vi - vj)) for a, b in zip(p, q))
-            crossings.append((x, piece.masks[i] & piece.masks[j] | cut))
-    neg = sorted([(v, m) for v, m, s in kept if s <= 0] + crossings)
-    pos = sorted([(v, m) for v, m, s in kept if s >= 0] + crossings)
+            x = [vi * b - vj * a for a, b in zip(piece.vertices[i], piece.vertices[j])]
+            g = gcd(*x) if x[-1] > 0 else -gcd(*x)
+            crossings.append((tuple(c // g for c in x), piece.masks[i] & piece.masks[j] | cut))
+    neg = [(v, m) for v, m, s in kept if s <= 0] + crossings
+    pos = [(v, m) for v, m, s in kept if s >= 0] + crossings
     return _Piece(*zip(*neg)), _Piece(*zip(*pos))
 
 
 def _subtract_branches(
-    piece: _Piece, normals: tuple[IntVec, ...], carve: int, offs: tuple[Scalar, ...], mode: Mode
+    piece: _Piece, normals: tuple[IntVec, ...], carve: int, offs: IntVec, mode: Mode
 ) -> list[_Piece]:
     """Carve one translate, given by its offsets ``offs`` over the rows
     ``normals``, out of the piece.
@@ -194,7 +216,7 @@ def _subtract_branches(
             break
         rest, outside = _cut_piece(rest, normal, c)
         if outside is None and mode is Mode.RELATIVE_INTERIOR:
-            on = [(v, m) for v, m in zip(rest.vertices, rest.masks) if dot(normal, v) == c]
+            on = [(v, m) for v, m in zip(rest.vertices, rest.masks) if dot(normal, v[:-1]) == c * v[-1]]
             outside = _Piece(*zip(*on)) if on else None
         if outside is not None:
             branches.append(outside)
@@ -204,19 +226,24 @@ def _subtract_branches(
 def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     """An uncovered piece barycenter, or None when the translates cover.
 
-    A piece's barycenter ``b`` is evaluated on the table's normals once; the
-    first remaining translate whose offsets accept those values contains
-    ``b``, exactly, and is carved out.  Closed pieces need no dimension test:
-    ``_cut_piece`` splits a piece only when vertices lie strictly on both
-    sides, so both parts keep its dimension, and closed mode only cuts,
-    starting from the target.
+    A piece's barycenter ``b`` is ``num / den``, ``den = k*L`` for ``k``
+    vertices of weights with lcm ``L``.  For an integer offset ``off``, ``u.b
+    <= off`` iff ``ceil(u.num / den) <= off`` and ``u.b < off`` iff
+    ``floor(u.num / den) < off``, so each row value is rounded once and looked
+    up in the row's index; the remaining translates in every mask found
+    contain ``b``, and the lowest bit, the first of them, is carved out.  Only
+    a returned witness becomes a ``Fraction``.  Closed pieces need no
+    dimension test: ``_cut_piece`` splits a piece only when vertices lie
+    strictly on both sides, so both parts keep its dimension, and closed mode
+    only cuts, starting from the target.
     """
     target = q.target.desc
     normals, carve, offsets = _classify_translates(q)
-    accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
+    index = _row_index(offsets, len(normals))
+    slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
     budget = cell_budget()
-    start = _Piece(target.vertices, tuple(_tight_masks(target.vertices, target.facets)))
-    stack: list[tuple[_Piece, tuple[int, ...]]] = [(start, tuple(range(len(offsets))))]
+    start = _Piece(tuple((*v, 1) for v in target.vertices), tuple(_tight_masks(target.vertices, target.facets)))
+    stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
     processed = 0
     while stack:
         piece, remaining = stack.pop()
@@ -226,18 +253,20 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
                 f"covering subtraction exceeded {budget} pieces; "
                 f"raise {CELL_BUDGET_ENV} to allow more"
             )
-        b = barycenter(piece.vertices)
+        scale = lcm(*(v[-1] for v in piece.vertices))
+        *num, den = map(sum, zip(*([x * (scale // v[-1]) for x in v] for v in piece.vertices)))
         # a piece inside the target sits in its boundary iff a facet
         # hyperplane contains it, iff its barycenter does
-        if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, b) == c for u, c in target.facets):
+        if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, num) == c * den for u, c in target.facets):
             continue
-        vals = [dot(u, b) for u in normals]
-        pick = next((i for i in remaining if all(map(accepts, vals, offsets[i]))), None)
-        if pick is None:
-            return b
-        rem = tuple(i for i in remaining if i != pick)
-        for branch in reversed(_subtract_branches(piece, normals, carve, offsets[pick], q.mode)):
-            stack.append((branch, rem))
+        hits = remaining
+        for u, (levels, masks) in zip(normals, index):
+            hits &= masks[bisect_left(levels, (dot(u, num) - slack) // den + 1)] if hits else 0
+        if not hits:
+            return tuple(norm_scalar(Fraction(x, den)) for x in num)
+        pick = hits & -hits
+        for branch in reversed(_subtract_branches(piece, normals, carve, offsets[pick.bit_length() - 1], q.mode)):
+            stack.append((branch, remaining ^ pick))
     return None
 
 
@@ -254,11 +283,11 @@ def _lattice_witness(q: CoverageQuery) -> IntVec | None:
 
 
 def _verify_witness(q: CoverageQuery, w: Vec) -> None:
-    assert contains(q.target.desc, w, q.mode), "witness fell outside the target region"
+    if not contains(q.target.desc, w, q.mode):
+        raise AssertionError("witness fell outside the target region")
     for t in q.translations:
-        assert not contains(q.translate_base.desc, vec_sub(w, t), q.mode), (
-            f"witness {w} is covered by translate {t}"
-        )
+        if contains(q.translate_base.desc, vec_sub(w, t), q.mode):
+            raise AssertionError(f"witness {w} is covered by translate {t}")
 
 
 def covers(q: CoverageQuery) -> PropertyReport:
@@ -296,8 +325,7 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     center = barycenter(P.desc.vertices)
     for t in pts:
         shifted = tuple(norm_scalar(c + x) for c, x in zip(center, t))
-        assert contains(two.desc, shifted, Mode.RELATIVE_INTERIOR), (
-            "interior translate escaped relint(2P); this indicates a geometry bug"
-        )
+        if not contains(two.desc, shifted, Mode.RELATIVE_INTERIOR):
+            raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
     return replace(covers(q), property="cond01")

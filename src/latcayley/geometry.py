@@ -14,6 +14,7 @@ routine: beneath-beyond insertion in exact integers, described there.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ def as_fraction(x: Scalar) -> Fraction:
 
 
 def dot(a: Vec, b: Vec) -> Scalar:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:

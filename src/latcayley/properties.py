@@ -171,11 +171,12 @@ def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet]) -> I
     *head, last = factors
     prefix = reduce(point_set_sum, head)
     have = set(point_set_sum(prefix, last).points)
-    assert have <= set(region.points), "sum escaped the region; geometry bug"
+    if not have <= set(region.points):
+        raise AssertionError("sum escaped the region; geometry bug")
     for w in region:
         if w not in have:
-            assert contains(Q.desc, w, mode)
-            assert all(vec_sub(w, b) not in prefix for b in last)
+            if not contains(Q.desc, w, mode) or any(vec_sub(w, b) in prefix for b in last):
+                raise AssertionError(f"missing point {w} failed its re-check")
             return w
     return None
 

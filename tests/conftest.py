@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,13 @@ def load_fixture(name: str):
 
 def all_fixture_names() -> list[str]:
     return sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+def run_optimized(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` under ``python -O``, which strips every ``assert``."""
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture(scope="session")

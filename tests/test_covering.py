@@ -6,12 +6,17 @@ taken from ``translate`` itself, an approach independent of the row table and
 the subtraction route that ``covers`` takes.  It cuts the target by
 ``convex_hull`` and reads faces off the hulls' facets, so it runs neither the
 pieces' incidence masks nor their edge test.
+
+``reference_subtraction`` is the subtraction kernel as it was in ``Fraction``
+arithmetic, with sorted rational piece vertices and a linear first-fit scan
+of the translates; the integer kernel must return the very same witness.
 """
 
 import math
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -35,7 +40,13 @@ from latcayley import (
     random_lattice_polytope,
     translate,
 )
-from latcayley.covering import _classify_translates, _cut_piece, _Piece, _subtract_branches
+from latcayley.covering import (
+    _classify_translates,
+    _cut_piece,
+    _decide_by_subtraction,
+    _Piece,
+    _subtract_branches,
+)
 from latcayley.geometry import (
     CELL_BUDGET_ENV,
     DualDescription,
@@ -49,9 +60,12 @@ from latcayley.geometry import (
     contains,
     convex_hull,
     dot,
+    norm_scalar,
     rank,
     vec_sub,
 )
+
+from conftest import run_optimized
 
 
 def P(*verts):
@@ -206,6 +220,69 @@ def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
     return PropertyReport("covers", Verdict.HOLDS if w is None else Verdict.FAILS, w)
 
 
+# ---------------------------------------------------------------------------
+# reference kernel: the subtraction in Fraction arithmetic, scanning translates
+
+
+def _reference_cut(piece, normal, offset):
+    verts, masks = piece
+    vals = [norm_scalar(dot(normal, v) - offset) for v in verts]
+    if all(v >= 0 for v in vals):
+        return None, piece
+    if all(v <= 0 for v in vals):
+        return piece, None
+    cut = 1 << reduce(operator.or_, masks).bit_length()
+    kept = [(v, m | cut if s == 0 else m, s) for v, m, s in zip(verts, masks, vals)]
+    crossings = []
+    for i, j in _piece_edges(verts, masks):
+        vi, vj = vals[i], vals[j]
+        if (vi > 0 > vj) or (vi < 0 < vj):
+            x = tuple(norm_scalar(Fraction(vi * b - vj * a, vi - vj)) for a, b in zip(verts[i], verts[j]))
+            crossings.append((x, masks[i] & masks[j] | cut))
+    neg = sorted([(v, m) for v, m, s in kept if s <= 0] + crossings)
+    pos = sorted([(v, m) for v, m, s in kept if s >= 0] + crossings)
+    return tuple(zip(*neg)), tuple(zip(*pos))
+
+
+def _reference_branches(piece, normals, carve, offs, mode):
+    if len(normals) > carve:
+        return [p for p in _reference_cut(piece, normals[carve], offs[carve]) if p is not None]
+    branches = []
+    rest = piece
+    for normal, c in zip(normals[:carve], offs):
+        if rest is None:
+            break
+        rest, outside = _reference_cut(rest, normal, c)
+        if outside is None and mode is Mode.RELATIVE_INTERIOR:
+            on = [(v, m) for v, m in zip(*rest) if dot(normal, v) == c]
+            outside = tuple(zip(*on)) if on else None
+        if outside is not None:
+            branches.append(outside)
+    return branches
+
+
+def reference_subtraction(q: CoverageQuery) -> Vec | None:
+    """The first uncovered piece barycenter in depth-first order, or None."""
+    target = q.target.desc
+    normals, carve, offsets = _classify_translates(q)
+    accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
+    start = (target.vertices, tuple(_tight_masks(target.vertices, target.facets)))
+    stack = [(start, tuple(range(len(offsets))))]
+    while stack:
+        piece, remaining = stack.pop()
+        b = barycenter(piece[0])
+        if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, b) == c for u, c in target.facets):
+            continue
+        vals = [dot(u, b) for u in normals]
+        pick = next((i for i in remaining if all(map(accepts, vals, offsets[i]))), None)
+        if pick is None:
+            return b
+        rem = tuple(i for i in remaining if i != pick)
+        for branch in reversed(_reference_branches(piece, normals, carve, offsets[pick], q.mode)):
+            stack.append((branch, rem))
+    return None
+
+
 def test_arrangement_samples_hit_every_membership_pattern():
     # one vertical plane splitting a square: expect samples on both sides
     # and on the plane itself
@@ -305,6 +382,18 @@ def test_standard_triangle_not_2cn(simplex_2d):
     )
 
 
+def test_witness_recheck_survives_optimized_mode():
+    # with membership broken, the re-check of a barycenter witness must still
+    # raise when ``python -O`` strips asserts
+    proc = run_optimized(
+        "from latcayley import covering, from_vertices\n"
+        "covering.contains = lambda *a, **k: True\n"
+        "covering.is_2_convex_normal(from_vertices([(0, 0), (1, 0), (0, 1)]))\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: witness (Fraction(2, 3), Fraction(2, 3)) is covered by translate (0, 0)" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # validation and refusal
 
@@ -372,6 +461,30 @@ def _random_query(rng: random.Random, mode):
     if mode is Mode.RELATIVE_INTERIOR and base.dim < target.dim:
         return None
     return query(target, base, shifts, mode)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([Mode.CLOSED, Mode.RELATIVE_INTERIOR]))
+def test_subtraction_matches_the_reference_kernel(seed, mode):
+    """The integer kernel with its bitset pick returns the reference kernel's
+    witness, or None with it, whether or not a lattice witness exists."""
+    rng = random.Random(seed)
+    ambient = rng.randint(1, 3)
+    bound = 2 if ambient < 3 else 1
+    # relative-interior mode refuses a base thinner than the target, so only
+    # closed mode gets thin bases
+    thin = mode is Mode.CLOSED and ambient > 1 and rng.random() < 0.4
+    bdim = rng.randint(1, ambient - 1) if thin else ambient
+    base = random_lattice_polytope(rng.randrange(2**30), ambient, bdim, coord_bound=bound)
+    if rng.random() < 0.5:
+        k = rng.randint(2, 3)
+        target, pool = dilate(base, k), list(lattice_points(dilate(base, k - 1)).points)
+    else:
+        target = random_lattice_polytope(rng.randrange(2**30), ambient, rng.randint(0, ambient), coord_bound=bound)
+        pool = sorted({vec_sub(x, b) for x in lattice_points(target) for b in lattice_points(base)})
+    shifts = rng.sample(pool, rng.randint(1, len(pool)))
+    q = query(target, base, shifts, mode)
+    assert _decide_by_subtraction(q) == reference_subtraction(q), q
 
 
 @pytest.mark.parametrize("mode", [Mode.CLOSED, Mode.RELATIVE_INTERIOR])
@@ -475,26 +588,39 @@ def test_dilate_past_dimension_gets_interior_cover(seed, dim):
 def test_cut_parts_keep_the_piece_dimension(seed, dim):
     """Why closed-mode subtraction needs no dimension test: a cut returns the
     piece whole or splits it into two parts of its own dimension.  Every part,
-    and every relative-interior slice, carries the incidence masks its own
-    hull gives, up to bits that do not change the edge test."""
+    and every relative-interior slice, holds its own hull's vertices, each as
+    a canonical homogeneous vector, and carries the incidence masks that hull
+    gives, up to bits that do not change the edge test."""
+    def rational(piece):
+        return [tuple(norm_scalar(Fraction(x, v[-1])) for x in v[:-1]) for v in piece.vertices]
+
     def piece_dim(piece):
-        return rank([vec_sub(v, piece.vertices[0]) for v in piece.vertices])
+        verts = rational(piece)
+        return rank([vec_sub(v, verts[0]) for v in verts])
 
     def assert_masks_exact(piece):
-        hull = convex_hull(piece.vertices)
-        assert hull.vertices == piece.vertices
-        edges = _piece_edges(piece.vertices, _tight_masks(piece.vertices, hull.facets))
+        assert all(v[-1] > 0 and math.gcd(*v) == 1 for v in piece.vertices)
+        verts = rational(piece)
+        hull = convex_hull(verts)
+        assert hull.vertices == tuple(sorted(verts))
+        edges = _piece_edges(verts, _tight_masks(verts, hull.facets))
         assert _piece_edges(piece.vertices, piece.masks) == edges
+
+    def random_row(piece):
+        # u.x = u.x_v + r at a vertex x_v = X/w, scaled by w to integers; r = 0
+        # cuts through that vertex
+        normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
+        *X, w = rng.choice(piece.vertices)
+        return tuple(w * x for x in normal), dot(normal, X) + rng.randint(-1, 1) * w
 
     rng = random.Random(seed)
     ambient = rng.randint(dim, 3)
     P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=2)
-    pieces = [_Piece(P_.desc.vertices, tuple(_tight_masks(P_.desc.vertices, P_.desc.facets)))]
+    verts = P_.desc.vertices
+    pieces = [_Piece(tuple((*v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets)))]
     for _ in range(4):
         piece = pieces.pop(rng.randrange(len(pieces)))
-        normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
-        offset = dot(normal, rng.choice(piece.vertices)) + rng.randint(-1, 1)
-        parts = [p for p in _cut_piece(piece, normal, offset) if p is not None]
+        parts = [p for p in _cut_piece(piece, *random_row(piece)) if p is not None]
         assert all(piece_dim(p) == piece_dim(piece) == dim for p in parts)
         for part in parts:
             assert_masks_exact(part)
@@ -502,11 +628,11 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     # relative-interior carving: a row flush against a facet of the piece
     # yields that facet as a slice, then a random row cuts the rest
     piece = rng.choice(pieces)
-    flush = rng.choice(convex_hull(piece.vertices).facets)
-    normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
-    offset = dot(normal, rng.choice(piece.vertices)) + rng.randint(-1, 1)
-    rows = (flush[0], normal)
-    for part in _subtract_branches(piece, rows, 2, (flush[1], offset), Mode.RELATIVE_INTERIOR):
+    normal, c = rng.choice(convex_hull(rational(piece)).facets)
+    c = Fraction(c)
+    flush = tuple(c.denominator * x for x in normal), c.numerator
+    (u, off) = random_row(piece)
+    for part in _subtract_branches(piece, (flush[0], u), 2, (flush[1], off), Mode.RELATIVE_INTERIOR):
         assert_masks_exact(part)
 
 

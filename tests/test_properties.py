@@ -36,6 +36,8 @@ from latcayley import (
 from latcayley.covering import _lattice_witness
 from latcayley.geometry import Mode, contains, vec_sub
 
+from conftest import run_optimized
+
 
 def P(*verts):
     return from_vertices(verts)
@@ -152,6 +154,18 @@ def test_idp_reeve_fails_with_reverifiable_witness(reeve):
     assert pt in lattice_points(dilate(reeve, n)).points
     reachable = point_set_sum(lattice_points(dilate(reeve, n - 1)), lattice_points(reeve))
     assert pt not in reachable.points
+
+
+def test_idp_witness_recheck_survives_optimized_mode():
+    # with membership broken, the re-check of a missing point must still
+    # raise when ``python -O`` strips asserts
+    proc = run_optimized(
+        "from latcayley import from_vertices, is_idp, properties\n"
+        "properties.contains = lambda *a, **k: False\n"
+        "is_idp(from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]))\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: missing point (1, 1, 1) failed its re-check" in proc.stderr
 
 
 def test_idp_respects_max_degree(reeve):
