@@ -12,6 +12,10 @@ Two commits print the same digests exactly when their outputs agree on:
 - ``covers``: 1000 seeded direct ``CoverageQuery``s in both modes, in
   ambient dimensions 1-3, with dilate, Minkowski-sum and random targets,
   lower-dimensional bases in closed mode and random nonempty shift subsets;
+- ``covers4d``: ``is_2_convex_normal`` and ``has_interior_translate_cover``
+  on the 4-polytope ``P4`` dilated 2x and 3x, and 16 seeded queries in
+  dimension 4, alternating modes, that cover a dilate ``kB`` (k = 2, 3) by
+  translates of ``B`` by all or some lattice points of ``(k-1)B``;
 - ``hulls``: ``convex_hull`` and ``affine_hull`` on 1000 seeded point sets:
   dense planar sets and sums of three polygons, sets in dimensions 3-5, sets
   on a hyperplane and Cayley-type sets at unit heights, collinear sets, and
@@ -69,9 +73,9 @@ def _cli(argv: list[str]) -> str:
     return TIMESTAMP.sub('"timestamp": ""', f"{argv}\n{code}\n{out.getvalue()}\n{err.getvalue()}")
 
 
-def _decide(decide, P) -> str:
+def _report(decide, *args) -> str:
     try:
-        return json.dumps(decide([P], None).to_dict(), sort_keys=True)
+        return json.dumps(decide(*args).to_dict(), sort_keys=True)
     except (GeometryError, CellBudgetExceeded) as e:  # a refusal is output too
         return f"{type(e).__name__}: {e}"
 
@@ -93,7 +97,7 @@ def random():
         dim = 1 + seed % 3
         P = random_lattice_polytope(seed, dim, dim, coord_bound=2)
         for prop, (_, _, decide) in CHECKS.items():
-            yield f"{seed} {prop} {_decide(decide, P)}"
+            yield f"{seed} {prop} {_report(decide, [P], None)}"
 
 
 def reproduce():
@@ -133,13 +137,6 @@ def _cover_query(rng: Random, i: int) -> CoverageQuery:
     k = len(pool) if rng.random() < 0.5 else rng.randint(1, len(pool))
     shifts = PointSet(ambient, tuple(sorted(rng.sample(pool, k))))
     return CoverageQuery(target, base, shifts, mode)
-
-
-def _report(decide, arg) -> str:
-    try:
-        return json.dumps(decide(arg).to_dict(), sort_keys=True)
-    except (GeometryError, CellBudgetExceeded) as e:  # a refusal is output too
-        return f"{type(e).__name__}: {e}"
 
 
 def covers():
