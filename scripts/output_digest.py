@@ -19,7 +19,12 @@ Two commits print the same digests exactly when their outputs agree on:
 - ``hulls``: ``convex_hull`` and ``affine_hull`` on 1000 seeded point sets:
   dense planar sets and sums of three polygons, sets in dimensions 3-5, sets
   on a hyperplane and Cayley-type sets at unit heights, collinear sets, and
-  sets with ``Fraction`` coordinates, each with duplicates, in random order.
+  sets with ``Fraction`` coordinates, each with duplicates, in random order;
+- ``enumeration``: ``lattice_points`` and ``interior_lattice_points`` of 200
+  seeded polytopes in ambient dimensions 1-5 (full-dimensional, translated
+  lower-dimensional, Cayley sums of two factors, and doubled bases, whose
+  primitive base comes last), at dilates 0-4 in a mixed order, so that later
+  dilates and modes reuse the projection rows the first one cached.
 
 Timestamps are stripped before hashing.  To compare two commits, run it
 against each checkout and diff the output:
@@ -42,11 +47,14 @@ from latcayley import (
     CampaignConfig,
     CoverageQuery,
     PointSet,
+    cayley_sum,
     dilate,
     from_vertices,
+    interior_lattice_points,
     lattice_points,
     minkowski_sum,
     random_lattice_polytope,
+    translate,
     verify_theorem,
 )
 from latcayley import covering  # the module: ``covers`` names a section here
@@ -203,9 +211,36 @@ def hulls():
         yield f"{i} {convex_hull(pts)!r} {affine_hull(pts)!r}"
 
 
+def _enumeration_bases(rng: Random, i: int) -> list:
+    """One seeded polytope, preceded by its double for a doubled base."""
+    ambient = 1 + i % 5
+    kind = i // 5 % 4
+    bound = 2 if ambient < 4 else 1
+
+    def rand(n: int, dim: int):
+        return random_lattice_polytope(rng.randrange(2**30), n, dim, bound)
+
+    if kind == 1:  # lower-dimensional, moved off the coordinate subspace
+        shift = tuple(rng.randint(-3, 3) for _ in range(ambient))
+        return [translate(rand(ambient, rng.randint(0, ambient - 1)), shift)]
+    if kind == 2 and ambient >= 3:
+        return [cayley_sum([rand(ambient - 2, rng.randint(0, ambient - 2)) for _ in range(2)])]
+    P = rand(ambient, ambient)
+    return [dilate(P, 2), P] if kind == 3 else [P]
+
+
+def enumeration():
+    rng = Random(0)
+    for i in range(200):
+        for j, P in enumerate(_enumeration_bases(rng, i)):
+            for t in (2, 4, 0, 1, 3):
+                for name, points in (("closed", lattice_points), ("relint", interior_lattice_points)):
+                    yield f"{i} {j} {t} {name} {points(dilate(P, t)).points}"
+
+
 def run() -> None:
     os.chdir(ROOT)
-    for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls):
+    for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls, enumeration):
         h = hashlib.sha256()
         for record in section():
             h.update(record.encode("utf-8") + b"\0")

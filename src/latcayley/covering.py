@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, product
 from math import gcd, lcm
 
 from .geometry import (
@@ -157,14 +157,15 @@ class _Piece:
     masks: tuple[int, ...]
 
 
-def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | None, _Piece | None]:
-    """Split a piece along normal.x = offset into (<= side, >= side).
+def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | None, _Piece | None, list[int]]:
+    """Split a piece along normal.x = offset into (<= side, >= side, cut values).
 
     A vertex ``V`` takes the cut value ``(normal, -offset).V``, an integer of
     the sign of ``normal.x - offset``.  The masks are updated, never
     recomputed.  The cut takes a bit no vertex uses; a kept vertex gains it
-    iff it lies on the hyperplane.  The crossing ``vi*Vj - vj*Vi`` (made
-    canonical) on an edge ``(i, j)`` with cut values ``vi``, ``vj`` lies
+    iff it lies on the hyperplane.  Only an edge ``(i, j)`` with cut values
+    ``vi < 0 < vj`` crosses the hyperplane, so only those vertex pairs take
+    the adjacency test.  Its crossing ``vi*Vj - vj*Vi`` (made canonical) lies
     strictly inside the edge, so it repeats no vertex, and gets ``masks[i] &
     masks[j]`` plus the cut bit: a constraint valid on the piece is tight at
     an interior point of a segment iff it is tight at both ends.
@@ -172,21 +173,22 @@ def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | Non
     h = (*normal, -offset)
     vals = [dot(h, v) for v in piece.vertices]
     if all(v >= 0 for v in vals):
-        return None, piece
+        return None, piece, vals
     if all(v <= 0 for v in vals):
-        return piece, None
+        return piece, None, vals
     cut = 1 << reduce(operator.or_, piece.masks).bit_length()
     kept = [(v, m | cut if s == 0 else m, s) for v, m, s in zip(piece.vertices, piece.masks, vals)]
+    below = [i for i, s in enumerate(vals) if s < 0]
+    above = [j for j, s in enumerate(vals) if s > 0]
     crossings = []
-    for i, j in _piece_edges(piece.vertices, piece.masks):
+    for i, j in _piece_edges(piece.vertices, piece.masks, product(below, above)):
         vi, vj = vals[i], vals[j]
-        if (vi > 0 > vj) or (vi < 0 < vj):
-            x = [vi * b - vj * a for a, b in zip(piece.vertices[i], piece.vertices[j])]
-            g = gcd(*x) if x[-1] > 0 else -gcd(*x)
-            crossings.append((tuple(c // g for c in x), piece.masks[i] & piece.masks[j] | cut))
+        x = [vi * b - vj * a for a, b in zip(piece.vertices[i], piece.vertices[j])]
+        g = gcd(*x) if x[-1] > 0 else -gcd(*x)
+        crossings.append((tuple(c // g for c in x), piece.masks[i] & piece.masks[j] | cut))
     neg = [(v, m) for v, m, s in kept if s <= 0] + crossings
     pos = [(v, m) for v, m, s in kept if s >= 0] + crossings
-    return _Piece(*zip(*neg)), _Piece(*zip(*pos))
+    return _Piece(*zip(*neg)), _Piece(*zip(*pos)), vals
 
 
 def _subtract_branches(
@@ -208,15 +210,15 @@ def _subtract_branches(
     does not change the edge test.
     """
     if len(normals) > carve:
-        return [p for p in _cut_piece(piece, normals[carve], offs[carve]) if p is not None]
+        return [p for p in _cut_piece(piece, normals[carve], offs[carve])[:2] if p is not None]
     branches: list[_Piece] = []
     rest: _Piece | None = piece
     for normal, c in zip(normals[:carve], offs):
         if rest is None:
             break
-        rest, outside = _cut_piece(rest, normal, c)
-        if outside is None and mode is Mode.RELATIVE_INTERIOR:
-            on = [(v, m) for v, m in zip(rest.vertices, rest.masks) if dot(normal, v[:-1]) == c * v[-1]]
+        rest, outside, vals = _cut_piece(rest, normal, c)
+        if outside is None and mode is Mode.RELATIVE_INTERIOR:  # rest came back whole: vals are its own
+            on = [(v, m) for v, m, s in zip(rest.vertices, rest.masks, vals) if s == 0]
             outside = _Piece(*zip(*on)) if on else None
         if outside is not None:
             branches.append(outside)

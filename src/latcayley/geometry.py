@@ -437,12 +437,13 @@ def _tight_masks(verts: tuple[Vec, ...], cons: tuple[Facet, ...]) -> list[int]:
     return masks
 
 
-def _piece_edges(verts: tuple[Vec, ...], masks: list[int]) -> list[tuple[int, int]]:
+def _piece_edges(verts: tuple[Vec, ...], masks: list[int], pairs=None) -> list[tuple[int, int]]:
     # (i, j) spans an edge iff no third vertex is tight on every constraint
-    # common to i and j; redundant constraints cannot break this test.
+    # common to i and j; redundant constraints cannot break this test.  Tests
+    # the given vertex pairs, all pairs by default.
     edges = []
     nv = len(verts)
-    for i, j in combinations(range(nv), 2):
+    for i, j in combinations(range(nv), 2) if pairs is None else pairs:
         t = masks[i] & masks[j]
         if not any(k != i and k != j and (masks[k] & t) == t for k in range(nv)):
             edges.append((i, j))

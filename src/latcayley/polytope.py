@@ -6,7 +6,10 @@ rescaling the description directly; Minkowski and Cayley sums go through the
 convex hull.  Integer points are enumerated one coordinate at a time, each
 coordinate bounded by the facets of the polytope's projection onto the
 coordinates fixed so far; those bounds are exact, so every point produced is
-in the polytope and none is re-tested.
+in the polytope and none is re-tested.  The projection rows of gB are g times
+those of B, so they are cached once per primitive base B.  Point sets the
+library builds sorted and distinct (enumerations, sums, Cayley slices) skip
+the public constructor's re-checks.
 """
 
 from __future__ import annotations
@@ -80,6 +83,14 @@ class PointSet:
                 raise GeometryError("lattice point coordinates must be integers")
             unique = dict.fromkeys(tuple(map(int, p)) for p in unique)
         object.__setattr__(self, "points", tuple(sorted(unique)))
+
+    @classmethod
+    def _sorted(cls, ambient_dim: int, points: tuple[IntVec, ...]) -> PointSet:
+        """A set the library built of int tuples of length ambient_dim, strictly increasing; no re-check."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "points", points)
+        return self
 
     def __iter__(self):
         return iter(self.points)
@@ -184,6 +195,25 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
+@lru_cache(maxsize=512)
+def _projection_rows(base: frozenset) -> tuple:
+    """Levels 1..n-2 of ``_integer_points`` for a primitive base B, given B's
+    vertices projected onto coordinates 0..n-2: per row u.x <= c of pi_k(B)
+    with u_k != 0 (an equality gives two), (u_0..u_{k-1}, |u_k|, c, is_facet,
+    side), side 1 iff u_k < 0.  c is unshifted: one entry serves every gB and
+    both modes."""
+    levels = []
+    proj_vertices = base
+    for k in range(len(next(iter(base))) - 1, 0, -1):
+        proj = convex_hull({v[: k + 1] for v in proj_vertices})
+        proj_vertices = proj.vertices
+        rows = [(u, c, 1) for u, c in proj.facets]
+        for h in proj.equalities:
+            rows += [(h.normal, h.offset, 0), (tuple(-x for x in h.normal), -h.offset, 0)]
+        levels.append(tuple((u[:k], abs(u[k]), c, f, int(u[k] < 0)) for u, c, f in rows if u[k]))
+    return tuple(levels[::-1])
+
+
 def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     """The integer points of P (closed mode) or of relint P, in lexicographic order.
 
@@ -197,15 +227,20 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     the least and greatest first coordinate of a vertex, which shrinks by one
     at each end in relative-interior mode unless it is a single point.
 
+    Levels 1..n-2 come from ``_projection_rows``.  With g the gcd of all
+    vertex coordinates (1 for the origin), P = gB and pi_k(P) = g pi_k(B) has
+    the rows of pi_k(B) with g times their offsets; so they are cached per B,
+    and a facet row's offset g*c is shifted in relative-interior mode.
+
     By induction every prefix accepted at level k lies in pi_k(P), or in
     relint pi_k(P) = pi_k(relint P) (Rockafellar, Convex Analysis, Thm 6.6).
     A facet of pi_k(P) whose k-th coefficient is zero is an inequality on
     coordinates 0..k-1, valid on pi_{k-1}(P) and not constant there, so the
     level below already enforces it, strictly in relative-interior mode.  So
     the rows give the exact fibre over each accepted prefix, the last
-    coordinate is emitted as a whole interval, and no point is re-tested.
-    Raises CellBudgetExceeded when the output would exceed the cell budget
-    (LATCAYLEY_CELL_BUDGET).
+    coordinate is emitted as a whole interval, and no point is re-tested: the
+    output is sorted and distinct, as ``PointSet._sorted`` needs.  Raises
+    CellBudgetExceeded when the output would pass LATCAYLEY_CELL_BUDGET.
     """
     n = desc.ambient_dim
     if n == 0:
@@ -218,16 +253,19 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     if lo < hi:
         lo, hi = lo + strict, hi - strict
     levels[0] = ([((), 1, hi)], [((), 1, -lo)])
-    proj = desc
-    for k in range(n - 1, 0, -1):
-        if k < n - 1:
-            proj = convex_hull({v[: k + 1] for v in proj.vertices})
-        rows = [(u, c - strict) for u, c in proj.facets]
-        for h in proj.equalities:
+    if n > 2:
+        g = math.gcd(*(x for v in desc.vertices for x in v)) or 1
+        base = frozenset(tuple(x // g for x in v[:-1]) for v in desc.vertices)
+        for k, rows in enumerate(_projection_rows(base), 1):
+            for head, m, c, is_facet, side in rows:
+                levels[k][side].append((head, m, g * c - strict * is_facet))
+    if n > 1:
+        rows = [(u, c - strict) for u, c in desc.facets]
+        for h in desc.equalities:
             rows += [(h.normal, h.offset), (tuple(-x for x in h.normal), -h.offset)]
         for u, c in rows:
-            if u[k]:
-                levels[k][u[k] < 0].append((u[:k], abs(u[k]), c))
+            if u[-1]:
+                levels[-1][u[-1] < 0].append((u[:-1], abs(u[-1]), c))
     budget = cell_budget()
     out: list[IntVec] = []
 
@@ -256,7 +294,7 @@ _cached_points = 0  # points the enumeration caches took in since last emptied: 
 
 
 def _admit(points: PointSet) -> PointSet:
-    """Count a cache miss's points, first emptying both caches (held by object: a tracer may rebind
+    """Count a cache miss's points, first emptying all three caches (held by object: a tracer may rebind
     their module names) if the count would pass the cell budget (LATCAYLEY_CELL_BUDGET)."""
     global _cached_points
     if _cached_points + len(points) > cell_budget():
@@ -270,16 +308,16 @@ def _admit(points: PointSet) -> PointSet:
 @lru_cache(maxsize=512)
 def lattice_points(P: LatticePolytope) -> PointSet:
     """All integer points of P (exactly those accepted by closed containment)."""
-    return _admit(PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED))))
+    return _admit(PointSet._sorted(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED))))
 
 
 @lru_cache(maxsize=512)
 def interior_lattice_points(P: LatticePolytope) -> PointSet:
     """Integer points of relint(P) (exactly those accepted by relative-interior containment)."""
-    return _admit(PointSet(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
+    return _admit(PointSet._sorted(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
 
 
-_ENUMERATION_CACHES = (lattice_points, interior_lattice_points)
+_ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +346,10 @@ def cayley_slice(C: LatticePolytope, heights) -> PointSet:
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")
-    pts = [p for p in lattice_points(dilate(C, sum(a))) if p[:m] == a]
-    return PointSet(C.ambient_dim, tuple(pts))
+    # the points with leading block a are one run of the sorted points
+    pts = lattice_points(dilate(C, sum(a))).points
+    run = pts[bisect_left(pts, a) : bisect_left(pts, (*a[:-1], a[-1] + 1))]
+    return PointSet._sorted(C.ambient_dim, run)
 
 
 def normal_fan_coarsens(P: LatticePolytope, Q: LatticePolytope) -> bool:

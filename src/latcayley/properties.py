@@ -158,7 +158,7 @@ def point_set_sum(A: PointSet, B: PointSet) -> PointSet:
     for w, la, lb in zip(widths[::-1], lo_a[::-1], lo_b[::-1]):
         cols.append(map(add, map(mod, codes, repeat(w)), repeat(la + lb)))
         codes = list(map(floordiv, codes, repeat(w)))
-    return PointSet(n, tuple(zip(*cols[::-1])))
+    return PointSet._sorted(n, tuple(zip(*cols[::-1])))
 
 
 def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet]) -> IntVec | None:

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from latcayley import from_vertices, interior_lattice_points, lattice_points, load_polytope
+from latcayley import from_vertices, load_polytope
+from latcayley.polytope import _ENUMERATION_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -59,9 +60,10 @@ def segment():
 
 @pytest.fixture
 def cold_enumeration_cache():
-    """Empty the enumeration caches, so the next call enumerates afresh."""
-    lattice_points.cache_clear()
-    interior_lattice_points.cache_clear()
+    """Empty the enumeration caches and the projection row cache, so the next
+    call enumerates afresh."""
+    for cache in _ENUMERATION_CACHES:
+        cache.cache_clear()
 
 
 def seg(a, b):

@@ -620,7 +620,7 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     pieces = [_Piece(tuple((*v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets)))]
     for _ in range(4):
         piece = pieces.pop(rng.randrange(len(pieces)))
-        parts = [p for p in _cut_piece(piece, *random_row(piece)) if p is not None]
+        parts = [p for p in _cut_piece(piece, *random_row(piece))[:2] if p is not None]
         assert all(piece_dim(p) == piece_dim(piece) == dim for p in parts)
         for part in parts:
             assert_masks_exact(part)

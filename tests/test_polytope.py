@@ -23,9 +23,11 @@ from latcayley import (
     lattice_points,
     minkowski_sum,
     normal_fan_coarsens,
+    point_set_sum,
     translate,
 )
 from latcayley.geometry import CELL_BUDGET_ENV, Mode, contains, dot
+from latcayley.polytope import _projection_rows
 
 from conftest import seg
 
@@ -53,6 +55,13 @@ def test_point_set_rejects_non_integer_coordinates():
     S = PointSet(2, ((Fraction(4, 2), 1), (0, 0), (2, 1)))
     assert S.points == ((0, 0), (2, 1))
     assert all(type(x) is int for p in S for x in p)
+
+
+def test_point_set_rejects_points_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        PointSet(2, ((0, 0), (1,)))
+    with pytest.raises(DimensionMismatch):
+        PointSet(1, ((0, 0),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,6 +182,61 @@ def test_lattice_points_match_box_scan_explicit(make):
     _assert_enumeration_matches_box_scan(make())
 
 
+@st.composite
+def _dilate_runs(draw):
+    """A base in ambient dimension 3-5 (full-dimensional, of lower dimension,
+    Cayley-type at unit heights, or the origin), possibly doubled so that its
+    vertex gcd is above 1, with the primitive base it was doubled from, and a
+    shuffled order of its dilates 0..4 in both modes.  The largest dilate's
+    vertex box holds at most 6561 points."""
+    kind = draw(st.sampled_from(["full", "lower", "cayley", "origin"]))
+    n = draw(st.integers(3, 5))
+    scale = draw(st.sampled_from([1, 2])) if n < 5 else 1
+    width = 2 if (8 * scale + 1) ** n <= 6561 else 1
+    coord = st.integers(0, width)
+    if kind == "origin":
+        pts = [(0,) * n]
+    elif kind == "cayley":
+        m = draw(st.integers(2, n - 1))
+        tails = draw(st.lists(st.tuples(*[coord] * (n - m)), min_size=m, max_size=m + 3))
+        pts = [tuple(int(j == i % m) for j in range(m)) + t for i, t in enumerate(tails)]
+    else:
+        size = st.integers(n + 1, n + 4) if kind == "full" else st.integers(1, n)
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=draw(size), max_size=n + 4))
+    primitive = from_vertices(pts)
+    order = draw(st.permutations([(t, f) for t in range(5) for f in (lattice_points, interior_lattice_points)]))
+    return dilate(primitive, scale), primitive, order
+
+
+@settings(max_examples=60, deadline=None)
+@given(_dilate_runs())
+def test_warm_row_cache_enumerates_every_dilate_exactly(run):
+    base, primitive, order = run
+    lattice_points.cache_clear()  # the point caches only: the row cache stays warm
+    interior_lattice_points.cache_clear()
+    for t, enumerate_points in order:
+        enumerate_points(dilate(base, t))
+    for t in range(5):
+        _assert_enumeration_matches_box_scan(dilate(base, t))
+    # the doubled base filled the row entry its primitive base now reads
+    _assert_enumeration_matches_box_scan(primitive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    _enumeration_inputs(),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=1, max_size=4),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+)
+def test_library_built_point_sets_are_what_the_public_constructor_builds(Q, pa, pb, heights):
+    closed, inner = lattice_points(Q), interior_lattice_points(Q)
+    C = cayley_sum([from_vertices(pa), from_vertices(pb)])
+    for S in (closed, inner, point_set_sum(closed, inner), point_set_sum(inner, closed), cayley_slice(C, heights)):
+        assert S.points == PointSet(S.ambient_dim, S.points).points
+        assert all(type(x) is int for p in S for x in p)
+
+
 def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enumeration_cache):
     monkeypatch.setenv(CELL_BUDGET_ENV, "10")
     with pytest.raises(CellBudgetExceeded, match=f"enumeration.*{CELL_BUDGET_ENV}"):
@@ -181,9 +245,11 @@ def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enume
 
 
 def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
-    monkeypatch, unit_square, cold_enumeration_cache
+    monkeypatch, unit_square, unit_cube, cold_enumeration_cache
 ):
     monkeypatch.setenv(CELL_BUDGET_ENV, "200")
+    lattice_points(unit_cube)  # 8 points; fills the row cache, which the square never reads
+    assert _projection_rows.cache_info().currsize == 1
     sizes = {lattice_points: [], interior_lattice_points: []}  # per cache, its misses in order
     for n in range(1, 14):  # 196 points at n = 13, 1014 over all n in both modes
         for cache, missed in sizes.items():
@@ -191,8 +257,9 @@ def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
             # a cache holding k entries holds its last k misses
             held = sum(sum(m[len(m) - c.cache_info().currsize:]) for c, m in sizes.items())
             assert held <= 200
-    # the miss that passed the budget emptied both caches and kept its own result
+    # the miss that passed the budget emptied all three caches and kept its own result
     assert interior_lattice_points.cache_info().currsize < 13
+    assert _projection_rows.cache_info().currsize == 0
     interior_lattice_points(dilate(unit_square, 13))
     assert interior_lattice_points.cache_info().hits == 1
 
