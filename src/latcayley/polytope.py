@@ -195,22 +195,26 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
+def _level_rows(desc: DualDescription, k: int) -> tuple:
+    """The rows u.x <= c of desc with u_k != 0 (an equality gives two), as
+    (u_0..u_{k-1}, |u_k|, c, is_facet, side), side 1 iff u_k < 0."""
+    rows = [(u, c, 1) for u, c in desc.facets]
+    for h in desc.equalities:
+        rows += [(h.normal, h.offset, 0), (tuple(-x for x in h.normal), -h.offset, 0)]
+    return tuple((u[:k], abs(u[k]), c, f, int(u[k] < 0)) for u, c, f in rows if u[k])
+
+
 @lru_cache(maxsize=512)
 def _projection_rows(base: frozenset) -> tuple:
     """Levels 1..n-2 of ``_integer_points`` for a primitive base B, given B's
-    vertices projected onto coordinates 0..n-2: per row u.x <= c of pi_k(B)
-    with u_k != 0 (an equality gives two), (u_0..u_{k-1}, |u_k|, c, is_facet,
-    side), side 1 iff u_k < 0.  c is unshifted: one entry serves every gB and
-    both modes."""
+    vertices projected onto coordinates 0..n-2: ``_level_rows`` of each
+    pi_k(B).  c is unshifted: one entry serves every gB and both modes."""
     levels = []
     proj_vertices = base
     for k in range(len(next(iter(base))) - 1, 0, -1):
         proj = convex_hull({v[: k + 1] for v in proj_vertices})
         proj_vertices = proj.vertices
-        rows = [(u, c, 1) for u, c in proj.facets]
-        for h in proj.equalities:
-            rows += [(h.normal, h.offset, 0), (tuple(-x for x in h.normal), -h.offset, 0)]
-        levels.append(tuple((u[:k], abs(u[k]), c, f, int(u[k] < 0)) for u, c, f in rows if u[k]))
+        levels.append(_level_rows(proj, k))
     return tuple(levels[::-1])
 
 
@@ -253,19 +257,14 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     if lo < hi:
         lo, hi = lo + strict, hi - strict
     levels[0] = ([((), 1, hi)], [((), 1, -lo)])
+    scaled = [(1, _level_rows(desc, n - 1))] if n > 1 else []  # (g, rows) for levels 1..n-1
     if n > 2:
         g = math.gcd(*(x for v in desc.vertices for x in v)) or 1
         base = frozenset(tuple(x // g for x in v[:-1]) for v in desc.vertices)
-        for k, rows in enumerate(_projection_rows(base), 1):
-            for head, m, c, is_facet, side in rows:
-                levels[k][side].append((head, m, g * c - strict * is_facet))
-    if n > 1:
-        rows = [(u, c - strict) for u, c in desc.facets]
-        for h in desc.equalities:
-            rows += [(h.normal, h.offset), (tuple(-x for x in h.normal), -h.offset)]
-        for u, c in rows:
-            if u[-1]:
-                levels[-1][u[-1] < 0].append((u[:-1], abs(u[-1]), c))
+        scaled[:0] = [(g, rows) for rows in _projection_rows(base)]
+    for k, (g, rows) in enumerate(scaled, 1):
+        for head, m, c, is_facet, side in rows:
+            levels[k][side].append((head, m, g * c - strict * is_facet))
     budget = cell_budget()
     out: list[IntVec] = []
 

@@ -248,9 +248,9 @@ def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
     monkeypatch, unit_square, unit_cube, cold_enumeration_cache
 ):
     monkeypatch.setenv(CELL_BUDGET_ENV, "200")
-    lattice_points(unit_cube)  # 8 points; fills the row cache, which the square never reads
+    # per cache, its misses in order; the cube's 8 points fill the row cache, which the square never reads
+    sizes = {lattice_points: [len(lattice_points(unit_cube))], interior_lattice_points: []}
     assert _projection_rows.cache_info().currsize == 1
-    sizes = {lattice_points: [], interior_lattice_points: []}  # per cache, its misses in order
     for n in range(1, 14):  # 196 points at n = 13, 1014 over all n in both modes
         for cache, missed in sizes.items():
             missed.append(len(cache(dilate(unit_square, n))))
