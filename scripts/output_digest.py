@@ -24,7 +24,12 @@ Two commits print the same digests exactly when their outputs agree on:
   seeded polytopes in ambient dimensions 1-5 (full-dimensional, translated
   lower-dimensional, Cayley sums of two factors, and doubled bases, whose
   primitive base comes last), at dilates 0-4 in a mixed order, so that later
-  dilates and modes reuse the projection rows the first one cached.
+  dilates and modes reuse the projection rows the first one cached;
+- ``sums``: the full description of ``minkowski_sum`` of dilates of 200
+  seeded factor tuples (1-3 factors in ambient dimensions 1-4, of every
+  dimension, some translated), for every coefficient vector in {0, 1, 2}^m
+  in a shuffled order, so that later sums reuse the hull the first one with
+  the same positive support cached.
 
 Timestamps are stripped before hashing.  To compare two commits, run it
 against each checkout and diff the output:
@@ -238,9 +243,31 @@ def enumeration():
                     yield f"{i} {j} {t} {name} {points(dilate(P, t)).points}"
 
 
+def _sum_factors(rng: Random, i: int) -> list:
+    ambient = 1 + i % 4
+    bound = 2 if ambient < 4 else 1
+    factors = []
+    for _ in range(1 + i // 4 % 3):
+        P = random_lattice_polytope(rng.randrange(2**30), ambient, rng.randint(0, ambient), bound)
+        if rng.random() < 0.3:
+            P = translate(P, tuple(rng.randint(-2, 2) for _ in range(ambient)))
+        factors.append(P)
+    return factors
+
+
+def sums():
+    rng = Random(0)
+    for i in range(200):
+        factors = _sum_factors(rng, i)
+        coeffs = list(product(range(3), repeat=len(factors)))
+        rng.shuffle(coeffs)
+        for a in coeffs:
+            yield f"{i} {a} {minkowski_sum([dilate(P, x) for P, x in zip(factors, a)]).desc!r}"
+
+
 def run() -> None:
     os.chdir(ROOT)
-    for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls, enumeration):
+    for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls, enumeration, sums):
         h = hashlib.sha256()
         for record in section():
             h.update(record.encode("utf-8") + b"\0")

@@ -380,9 +380,14 @@ def convex_hull(points) -> DualDescription:
     its edges and the equality normals.  Because the point is strictly off the
     hyperplane of the visible simplex, it is off the affine span of every
     ridge of it, so coplanar points never make a degenerate simplex.  Coplanar
-    simplices are merged by (normal, offset), the offsets divided by L, and a
-    simplex corner is a vertex iff its tight facet normals and the equality
-    normals have full rank.  Raises CellBudgetExceeded when there are more
+    simplices are merged by (normal, offset), the offsets divided by L.  The
+    boundary is a simplicial complex, so a corner lying on a facet is a corner
+    of one of its simplices, and each corner gets the bitmask of the facets it
+    lies on.  A corner is a vertex iff no other corner's mask contains its own:
+    a non-vertex lies in the relative interior of a face with another vertex,
+    which is a corner tight on every facet the first is tight on, and a vertex
+    is the intersection of its facets, so no other point is tight on all of
+    them.  Raises CellBudgetExceeded when there are more
     distinct candidate points than the cell budget (LATCAYLEY_CELL_BUDGET).
     """
     pts = _validate_points(points)
@@ -397,13 +402,14 @@ def convex_hull(points) -> DualDescription:
     scale, ipts, simplex, eqs = _simplex(cand)
     if len(simplex) == 1:
         return DualDescription(n, 0, (cand[0],), (), eqs)
-    eq_normals = [h.normal for h in eqs]
-    boundary = _beneath_beyond(ipts, simplex, eq_normals)
-    tight: defaultdict[int, set[IntVec]] = defaultdict(set)
+    boundary = _beneath_beyond(ipts, simplex, [h.normal for h in eqs])
+    bits: dict[IntVec, int] = {}  # one bit per merged facet
+    masks: defaultdict[int, int] = defaultdict(int)  # corner -> its facets
     for corners, (normal, _) in boundary.items():
+        bit = bits.setdefault(normal, 1 << len(bits))
         for i in corners:
-            tight[i].add(normal)
-    verts = [cand[i] for i, normals in tight.items() if rank([*normals, *eq_normals]) == n]
+            masks[i] |= bit
+    verts = [cand[i] for i, m in masks.items() if not any(j != i and k & m == m for j, k in masks.items())]
     facets = {(normal, norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
     return DualDescription(n, len(simplex) - 1, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
 

@@ -2,14 +2,17 @@
 
 A lattice polytope is stored by its canonical dual description, so structural
 equality decides set equality.  Dilates and translates are constructed by
-rescaling the description directly; Minkowski and Cayley sums go through the
-convex hull.  Integer points are enumerated one coordinate at a time, each
-coordinate bounded by the facets of the polytope's projection onto the
-coordinates fixed so far; those bounds are exact, so every point produced is
-in the polytope and none is re-tested.  The projection rows of gB are g times
-those of B, so they are cached once per primitive base B.  Point sets the
-library builds sorted and distinct (enumerations, sums, Cayley slices) skip
-the public constructor's re-checks.
+rescaling the description directly.  A Minkowski sum of dilates g_i B_i of
+primitive bases B_i reads its description off one cached hull of sum B_i, so
+all sums over the same bases share one hull; Cayley sums go through the
+convex hull.  Descriptions derived from a canonical one (dilates, sums) skip
+the public constructors' re-checks.  Integer points are enumerated one
+coordinate at a time, each coordinate bounded by the facets of the
+polytope's projection onto the coordinates fixed so far; those bounds are
+exact, so every point produced is in the polytope and none is re-tested.
+The projection rows of gB are g times those of B, so they are cached once
+per primitive base B.  Point sets the library builds sorted and distinct
+(enumerations, sums, Cayley slices) skip the public constructor's re-checks.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -30,7 +34,6 @@ from .geometry import (
     Mode,
     _piece_edges,
     _tight_masks,
-    affine_hull,
     cell_budget,
     convex_hull,
     dot,
@@ -49,6 +52,16 @@ class LatticePolytope:
     def __post_init__(self) -> None:
         if not self.desc.is_lattice:
             raise GeometryError("lattice polytope vertices must be integral")
+
+    @classmethod
+    def _trusted(cls, ambient_dim: int, dim: int, vertices, facets, equalities) -> LatticePolytope:
+        """A description the library derived from a canonical lattice one, in ints: vertices sorted,
+        (normal, offset) facets sorted, and the (normal, offset) pairs of canonical equalities sorted
+        by normal; no re-check."""
+        eqs = tuple(_bare(Hyperplane, normal=u, offset=c) for u, c in equalities)
+        return _bare(cls, desc=_bare(
+            DualDescription, ambient_dim=ambient_dim, dim=dim, vertices=vertices, facets=facets, equalities=eqs
+        ))
 
     @property
     def ambient_dim(self) -> int:
@@ -87,10 +100,7 @@ class PointSet:
     @classmethod
     def _sorted(cls, ambient_dim: int, points: tuple[IntVec, ...]) -> PointSet:
         """A set the library built of int tuples of length ambient_dim, strictly increasing; no re-check."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "points", points)
-        return self
+        return _bare(cls, ambient_dim=ambient_dim, points=points)
 
     def __iter__(self):
         return iter(self.points)
@@ -110,6 +120,14 @@ class Edge:
 
     endpoints: tuple[IntVec, IntVec]
     lattice_length: int
+
+
+def _bare(cls, **fields):
+    """An instance of the frozen dataclass cls with these fields, without its __post_init__ checks."""
+    self = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(self, name, value)
+    return self
 
 
 def _int_vec(v, what: str) -> IntVec:
@@ -140,34 +158,85 @@ def translate(P: LatticePolytope, v) -> LatticePolytope:
     return LatticePolytope(DualDescription(d.ambient_dim, d.dim, verts, facets, eqs))
 
 
+def _origin(n: int) -> LatticePolytope:
+    """The origin of Z^n, cut out by the equalities x_k = 0 sorted by normal."""
+    units = sorted(tuple(int(j == k) for j in range(n)) for k in range(n))
+    return LatticePolytope._trusted(n, 0, ((0,) * n,), (), tuple((u, 0) for u in units))
+
+
 def dilate(P: LatticePolytope, factor: int) -> LatticePolytope:
     """The dilate factor*P; factor 0 collapses to the origin point."""
-    if not isinstance(factor, int) or factor < 0:
+    if isinstance(factor, bool) or not isinstance(factor, int) or factor < 0:
         raise GeometryError(f"dilation factor must be a nonnegative integer, got {factor!r}")
     d = P.desc
     if factor == 0:
-        origin = (0,) * d.ambient_dim
-        return LatticePolytope(DualDescription(d.ambient_dim, 0, (origin,), (), affine_hull([origin])[1]))
+        return _origin(d.ambient_dim)
     if factor == 1:
         return P
-    verts = tuple(tuple(x * factor for x in v) for v in d.vertices)
-    facets = tuple((n, c * factor) for n, c in d.facets)
-    eqs = tuple(Hyperplane(h.normal, h.offset * factor) for h in d.equalities)
-    return LatticePolytope(DualDescription(d.ambient_dim, d.dim, verts, facets, eqs))
+    return LatticePolytope._trusted(
+        d.ambient_dim,
+        d.dim,
+        tuple(tuple(x * factor for x in v) for v in d.vertices),
+        tuple((u, c * factor) for u, c in d.facets),
+        tuple((h.normal, h.offset * factor) for h in d.equalities),
+    )
+
+
+@lru_cache(maxsize=512)
+def _sum_template(bases: tuple) -> tuple:
+    """The hull of B_1 + ... + B_m for primitive bases B_i, each given by its
+    sorted vertices, as (dim, corners, facets, equalities): for each hull
+    vertex, the index of the vertex of each B_i that it sums (a vertex of a
+    Minkowski sum decomposes uniquely); for each facet normal u, the support
+    values (h_{B_i}(u)), read off one vertex on the facet, where every summand
+    attains its maximum; and for each equality normal, the offsets of the B_i."""
+    decompose: dict[IntVec, tuple[int, ...]] = {}
+    for J in product(*(range(len(B)) for B in bases)):
+        decompose.setdefault(tuple(map(sum, zip(*(B[j] for B, j in zip(bases, J))))), J)
+    hull = convex_hull(decompose)
+    corners = tuple(decompose[v] for v in hull.vertices)
+    facets = []
+    for u, c in hull.facets:
+        J = next(J for v, J in zip(hull.vertices, corners) if dot(u, v) == c)
+        facets.append((u, tuple(dot(u, B[j]) for B, j in zip(bases, J))))
+    eqs = tuple((h.normal, tuple(dot(h.normal, B[0]) for B in bases)) for h in hull.equalities)
+    return hull.dim, corners, tuple(facets), eqs
 
 
 def minkowski_sum(polytopes) -> LatticePolytope:
-    """Minkowski sum of a nonempty list, via the hull of vertex sums."""
+    """Minkowski sum of a nonempty list.
+
+    Factor P_i is g_i B_i, with g_i the gcd of its vertex coordinates and B_i
+    primitive; factors at the origin (g_i = 0) add nothing.  The normal fan of
+    a sum is the common refinement of its summands' fans and a positive scale
+    factor keeps a fan (Ziegler, Lectures on Polytopes, Prop. 7.12), so
+    sum g_i B_i has the facet normals, equalities and vertex decompositions of
+    sum B_i, from ``_sum_template``: its vertices are the sums of the matching
+    vertices of the P_i, re-sorted, and its offsets are sum g_i h_{B_i}.
+    Facets and equalities stay sorted, since their normals are distinct.
+    """
     Ps = list(polytopes)
     if not Ps:
         raise GeometryError("minkowski_sum needs at least one polytope")
     n = Ps[0].ambient_dim
     if any(P.ambient_dim != n for P in Ps):
         raise DimensionMismatch("minkowski_sum factors must share an ambient dimension")
-    sums = [(0,) * n]
-    for P in Ps:
-        sums = [vec_add(s, v) for s in sums for v in P.vertices]
-    return from_vertices(sums)
+    factors = [(g, P) for P in Ps if (g := math.gcd(*(x for v in P.desc.vertices for x in v)))]
+    if not factors:
+        return _origin(n)
+    if len(factors) == 1:
+        return factors[0][1]
+    gs = [g for g, _ in factors]
+    verts = [P.desc.vertices for _, P in factors]
+    bases = tuple(tuple(tuple(x // g for x in v) for v in V) for g, V in zip(gs, verts))
+    dim, corners, facets, eqs = _sum_template(bases)
+    return LatticePolytope._trusted(
+        n,
+        dim,
+        tuple(sorted(tuple(map(sum, zip(*(V[j] for V, j in zip(verts, J))))) for J in corners)),
+        tuple((u, dot(gs, hs)) for u, hs in facets),
+        tuple((u, dot(gs, hs)) for u, hs in eqs),
+    )
 
 
 def cayley_sum(polytopes) -> LatticePolytope:
@@ -293,8 +362,8 @@ _cached_points = 0  # points the enumeration caches took in since last emptied: 
 
 
 def _admit(points: PointSet) -> PointSet:
-    """Count a cache miss's points, first emptying all three caches (held by object: a tracer may rebind
-    their module names) if the count would pass the cell budget (LATCAYLEY_CELL_BUDGET)."""
+    """Count a cache miss's points, first emptying every cache of _ENUMERATION_CACHES (held by object: a
+    tracer may rebind their module names) if the count would pass the cell budget (LATCAYLEY_CELL_BUDGET)."""
     global _cached_points
     if _cached_points + len(points) > cell_budget():
         for cache in _ENUMERATION_CACHES:
@@ -316,7 +385,7 @@ def interior_lattice_points(P: LatticePolytope) -> PointSet:
     return _admit(PointSet._sorted(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
 
 
-_ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows)
+_ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows, _sum_template)
 
 
 # ---------------------------------------------------------------------------

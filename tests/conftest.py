@@ -60,8 +60,8 @@ def segment():
 
 @pytest.fixture
 def cold_enumeration_cache():
-    """Empty the enumeration caches and the projection row cache, so the next
-    call enumerates afresh."""
+    """Empty the enumeration caches, the projection row cache and the sum
+    template cache, so the next call enumerates and sums afresh."""
     for cache in _ENUMERATION_CACHES:
         cache.cache_clear()
 

@@ -13,6 +13,7 @@ from latcayley import (
     DimensionMismatch,
     GeometryError,
     Hyperplane,
+    LatticePolytope,
     PointSet,
     cayley_slice,
     cayley_sum,
@@ -26,8 +27,8 @@ from latcayley import (
     point_set_sum,
     translate,
 )
-from latcayley.geometry import CELL_BUDGET_ENV, Mode, contains, dot
-from latcayley.polytope import _projection_rows
+from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, contains, dot
+from latcayley.polytope import _projection_rows, _sum_template
 
 from conftest import seg
 
@@ -251,15 +252,18 @@ def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
     # per cache, its misses in order; the cube's 8 points fill the row cache, which the square never reads
     sizes = {lattice_points: [len(lattice_points(unit_cube))], interior_lattice_points: []}
     assert _projection_rows.cache_info().currsize == 1
+    minkowski_sum([unit_square, unit_square])  # a sum template, which holds no points
+    assert _sum_template.cache_info().currsize == 1
     for n in range(1, 14):  # 196 points at n = 13, 1014 over all n in both modes
         for cache, missed in sizes.items():
             missed.append(len(cache(dilate(unit_square, n))))
             # a cache holding k entries holds its last k misses
             held = sum(sum(m[len(m) - c.cache_info().currsize:]) for c, m in sizes.items())
             assert held <= 200
-    # the miss that passed the budget emptied all three caches and kept its own result
+    # the miss that passed the budget emptied every cache and kept its own result
     assert interior_lattice_points.cache_info().currsize < 13
     assert _projection_rows.cache_info().currsize == 0
+    assert _sum_template.cache_info().currsize == 0
     interior_lattice_points(dilate(unit_square, 13))
     assert interior_lattice_points.cache_info().hits == 1
 
@@ -289,6 +293,60 @@ def test_minkowski_sum_order_independent():
 def test_minkowski_sum_dim_mismatch():
     with pytest.raises(DimensionMismatch):
         minkowski_sum([P((0, 0), (1, 0)), P((0,), (1,))])
+
+
+def _hull_of_vertex_sums(Ps):
+    """The reference Minkowski sum: the hull of every sum of one vertex per factor."""
+    return from_vertices([tuple(map(sum, zip(*vs))) for vs in product(*(Q.vertices for Q in Ps))])
+
+
+@st.composite
+def _dilated_tuples(draw):
+    """1-3 factors in ambient dimension 1-4 (full-dimensional, on a hyperplane,
+    or fewer points than that), each possibly translated, and every coefficient
+    vector in {0, 1, 2}^m in a shuffled order."""
+    n = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2)
+    factors = []
+    for _ in range(draw(st.integers(1, 3))):
+        pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=n + 3))
+        if n > 1 and draw(st.booleans()):
+            a = draw(st.tuples(*[st.integers(-1, 1)] * (n - 1)))
+            pts = [p[:-1] + (dot(a, p[:-1]),) for p in pts]
+        Q = from_vertices(pts)
+        factors.append(translate(Q, draw(st.tuples(*[coord] * n))) if draw(st.booleans()) else Q)
+    return factors, draw(st.permutations(list(product(range(3), repeat=len(factors)))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dilated_tuples())
+def test_minkowski_sums_of_dilates_match_the_hull_of_vertex_sums(case):
+    factors, coeffs = case
+    _sum_template.cache_clear()
+    # the all-2 sum first: a doubled base builds the template its primitive base reads later
+    for a in [(2,) * len(factors), *coeffs, *coeffs]:  # cold templates, then all warm
+        Qs = [dilate(Q, x) for Q, x in zip(factors, a)]
+        assert minkowski_sum(Qs) == _hull_of_vertex_sums(Qs), a
+
+
+def _rebuilt(Q):
+    d = Q.desc
+    eqs = tuple(Hyperplane(h.normal, h.offset) for h in d.equalities)
+    return LatticePolytope(DualDescription(d.ambient_dim, d.dim, d.vertices, d.facets, eqs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_dilated_tuples())
+def test_trusted_dilates_and_sums_are_what_the_public_constructors_build(case):
+    factors, coeffs = case
+    built = [dilate(Q, t) for Q in factors for t in (0, 2, 3)]
+    built += [minkowski_sum([dilate(Q, x) for Q, x in zip(factors, a)]) for a in coeffs]
+    for Q in built:
+        assert Q == _rebuilt(Q) and hash(Q) == hash(_rebuilt(Q))
+        d = Q.desc
+        assert list(d.vertices) == sorted(d.vertices) and list(d.facets) == sorted(d.facets)
+        scalars = [x for v in d.vertices for x in v] + [c for _, c in d.facets] + [h.offset for h in d.equalities]
+        assert all(type(x) is int for x in scalars)
 
 
 def test_cayley_sum_of_two_segments_heights_leading():
@@ -323,8 +381,9 @@ def test_dilate():
     assert dilate(T, 1) == T
     assert dilate(T, 3).vertices == ((0, 0), (0, 3), (3, 0))
     assert dilate(T, 0).vertices == ((0, 0),)
-    with pytest.raises(GeometryError):
-        dilate(T, -1)
+    for bad in (-1, True, False, 2.0):
+        with pytest.raises(GeometryError):
+            dilate(T, bad)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
