@@ -21,7 +21,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from operator import add
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -59,9 +59,8 @@ class LatticePolytope:
         (normal, offset) facets sorted, and the (normal, offset) pairs of canonical equalities sorted
         by normal; no re-check."""
         eqs = tuple(_bare(Hyperplane, normal=u, offset=c) for u, c in equalities)
-        return _bare(cls, desc=_bare(
-            DualDescription, ambient_dim=ambient_dim, dim=dim, vertices=vertices, facets=facets, equalities=eqs
-        ))
+        fields = dict(ambient_dim=ambient_dim, dim=dim, vertices=vertices, facets=facets, equalities=eqs)
+        return _bare(cls, desc=_bare(DualDescription, **fields))
 
     @property
     def ambient_dim(self) -> int:
@@ -190,9 +189,11 @@ def _sum_template(bases: tuple) -> tuple:
     Minkowski sum decomposes uniquely); for each facet normal u, the support
     values (h_{B_i}(u)), read off one vertex on the facet, where every summand
     attains its maximum; and for each equality normal, the offsets of the B_i."""
-    decompose: dict[IntVec, tuple[int, ...]] = {}
-    for J in product(*(range(len(B)) for B in bases)):
-        decompose.setdefault(tuple(map(sum, zip(*(B[j] for B, j in zip(bases, J))))), J)
+    # each sum of one vertex per base, with one decomposition; a vertex's partial
+    # sums are vertices of the partial sums, so each has just one to keep
+    decompose: dict[IntVec, tuple[int, ...]] = {(0,) * len(bases[0][0]): ()}
+    for B in bases:
+        decompose = {tuple(map(add, s, b)): J + (j,) for s, J in decompose.items() for j, b in enumerate(B)}
     hull = convex_hull(decompose)
     corners = tuple(decompose[v] for v in hull.vertices)
     facets = []

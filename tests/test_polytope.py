@@ -345,8 +345,8 @@ def test_trusted_dilates_and_sums_are_what_the_public_constructors_build(case):
         assert Q == _rebuilt(Q) and hash(Q) == hash(_rebuilt(Q))
         d = Q.desc
         assert list(d.vertices) == sorted(d.vertices) and list(d.facets) == sorted(d.facets)
-        scalars = [x for v in d.vertices for x in v] + [c for _, c in d.facets] + [h.offset for h in d.equalities]
-        assert all(type(x) is int for x in scalars)
+        offsets = [c for _, c in d.facets] + [h.offset for h in d.equalities]
+        assert all(type(x) is int for x in [*(x for v in d.vertices for x in v), *offsets])
 
 
 def test_cayley_sum_of_two_segments_heights_leading():
