@@ -387,8 +387,8 @@ def convex_hull(points) -> DualDescription:
     a non-vertex lies in the relative interior of a face with another vertex,
     which is a corner tight on every facet the first is tight on, and a vertex
     is the intersection of its facets, so no other point is tight on all of
-    them.  Raises CellBudgetExceeded when there are more
-    distinct candidate points than the cell budget (LATCAYLEY_CELL_BUDGET).
+    them.  Raises CellBudgetExceeded when there are more distinct candidate
+    points than the cell budget (LATCAYLEY_CELL_BUDGET).
     """
     pts = _validate_points(points)
     n = len(pts[0])
