@@ -42,7 +42,6 @@ from .geometry import (
     Vec,
     _piece_edges,
     _tight_masks,
-    barycenter,
     cell_budget,
     contains,
     dot,
@@ -320,14 +319,18 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
 
     The reverse inclusion, every translate sitting inside relint(2P), is an
     identity; it is asserted on one relative interior sample per translate, not
-    searched for.
+    searched for: the barycenter b + t, tested in integers as k(b + t) = S + kt,
+    with k vertices summing to S.
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
-    center = barycenter(P.desc.vertices)
+    k = len(P.desc.vertices)
+    S = tuple(map(sum, zip(*P.desc.vertices)))
     for t in pts:
-        shifted = tuple(norm_scalar(c + x) for c, x in zip(center, t))
-        if not contains(two.desc, shifted, Mode.RELATIVE_INTERIOR):
+        x = tuple(s + k * a for s, a in zip(S, t))
+        if any(dot(h.normal, x) != k * h.offset for h in two.desc.equalities) or any(
+            dot(u, x) >= k * c for u, c in two.desc.facets
+        ):
             raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
     return replace(covers(q), property="cond01")

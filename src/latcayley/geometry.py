@@ -5,10 +5,10 @@ floating point, so every predicate is a decision, not an estimate.  All public
 objects are immutable and all functions are pure, so they are safe to call
 concurrently.
 
-Ranks, kernels and facet normals go through one fraction-free Gauss-Jordan
-elimination over the integers, ``_echelon``; affine hulls go through one
-greedy independence pass, ``_simplex``.  ``convex_hull`` is the one hull
-routine: beneath-beyond insertion in exact integers, described there.
+Kernels go through one fraction-free Gauss-Jordan elimination over the
+integers, ``_echelon``; affine hulls go through one greedy independence pass,
+``_simplex``.  ``convex_hull`` is the one hull routine: beneath-beyond
+insertion in exact integers, described there.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -88,12 +88,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(norm_scalar(x - y) for x, y in zip(a, b))
 
 
-def barycenter(points) -> Vec:
-    """Exact average of a nonempty list of equal-length points."""
-    k = len(points)
-    return tuple(norm_scalar(Fraction(sum(c), k)) for c in zip(*points))
-
-
 def is_integer_vec(v: Vec) -> bool:
     """True iff every entry is an int or an integral Fraction; bool is not a number here."""
     return all(
@@ -159,11 +153,6 @@ def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
         if len(pivots) == len(mat):
             break
     return mat[: len(pivots)], pivots
-
-
-def rank(rows: list[Vec]) -> int:
-    """Rank over the rationals."""
-    return len(_echelon(rows)[1])
 
 
 def nullspace(rows: list[Vec], ncols: int) -> list[IntVec]:
@@ -334,31 +323,39 @@ def _beneath_beyond(
     # (dim+1) times the barycenter of the first simplex: strictly inside every later hull
     inner = [sum(c) for c in zip(*(pts[i] for i in simplex))]
 
-    def facet(corners: tuple[int, ...]) -> tuple[IntVec, int]:
-        p0 = pts[corners[0]]
-        rows = [[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_normals
-        (u,) = nullspace(rows, len(p0))
-        c = dot(u, p0)
-        if dot(u, inner) > (dim + 1) * c:
-            return tuple(-x for x in u), -c
-        return u, c
-
     def spread(i: int) -> int:  # (dim+1)^2 times the squared distance from the barycenter
         return sum(((dim + 1) * x - y) ** 2 for x, y in zip(pts[i], inner))
 
-    boundary = {corners: facet(corners) for corners in combinations(simplex, dim)}
+    boundary = {}
+    for corners in combinations(simplex, dim):
+        p0 = pts[corners[0]]
+        (u,) = nullspace([[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_normals, len(p0))
+        c = dot(u, p0)
+        boundary[corners] = (tuple(-x for x in u), -c) if dot(u, inner) > (dim + 1) * c else (u, c)
+    ridges: defaultdict[tuple[int, ...], list] = defaultdict(list)  # ridge -> the boundary simplices on it
+    for s in boundary:
+        for ridge in combinations(s, dim - 1):
+            ridges[ridge].append(s)
     rest = [i for i in range(len(pts)) if i not in simplex]
     for i in sorted(rest, key=spread, reverse=True):  # farthest first
         p = pts[i]
-        visible = [s for s, (u, c) in boundary.items() if dot(u, p) > c]
-        ridges: Counter[tuple[int, ...]] = Counter()
-        for s in visible:
-            del boundary[s]
-            ridges.update(combinations(s, dim - 1))
-        for ridge, count in ridges.items():
-            if count == 1:  # on the horizon: its other simplex stays
-                corners = tuple(sorted(ridge + (i,)))
-                boundary[corners] = facet(corners)
+        seen = {s: d for s, (u, c) in boundary.items() if (d := dot(u, p) - c) > 0}
+        cone = []
+        for s, dv in seen.items():
+            uv, _ = boundary.pop(s)
+            for ridge in combinations(s, dim - 1):
+                pair = ridges[ridge]
+                pair.remove(s)
+                if pair and pair[0] not in seen:  # on the horizon: rotate about it to p
+                    ui, ci = boundary[pair[0]]
+                    di = ci - dot(ui, p)
+                    u = [dv * a + di * b for a, b in zip(ui, uv)]
+                    g = math.gcd(*u)
+                    cone.append((tuple(sorted(ridge + (i,))), tuple(x // g for x in u)))
+        for corners, u in cone:
+            boundary[corners] = (u, dot(u, p))
+            for ridge in combinations(corners, dim - 1):
+                ridges[ridge].append(corners)
     return boundary
 
 
@@ -375,12 +372,19 @@ def convex_hull(points) -> DualDescription:
     first from that simplex's barycenter, so extreme points go in early and
     the points they enclose are dropped after one visibility scan.  A point
     joins the hull only when it lies strictly beyond some boundary simplex,
-    and is then coned to the horizon ridges (those shared by exactly one
-    visible simplex); each new simplex's normal is the one kernel vector of
-    its edges and the equality normals.  Because the point is strictly off the
-    hyperplane of the visible simplex, it is off the affine span of every
-    ridge of it, so coplanar points never make a degenerate simplex.  Coplanar
-    simplices are merged by (normal, offset), the offsets divided by L.  The
+    and is then coned to the horizon ridges (those whose other simplex it does
+    not see).  Only the starting simplex's facets take the kernel vector of
+    their edges and the equality normals; a new simplex rotates about its
+    horizon ridge (the gift-wrapping pivot of Chand & Kapur, JACM 1970).  For
+    the visible simplex (u_v, c_v) and the other one (u_i, c_i),
+    (u_v.p - c_v) u_i + (c_i - u_i.p) u_v is a positive combination of outward
+    normals in the direction space, tight on the ridge and at p, so over its
+    gcd it is the new outward primitive normal; p coplanar with the other
+    simplex gives u_i.  Because the
+    point is strictly off the hyperplane of the visible simplex, it is off the
+    affine span of every ridge of it, so coplanar points never make a
+    degenerate simplex.  Coplanar simplices are merged by (normal, offset),
+    the offsets divided by L.  The
     boundary is a simplicial complex, so a corner lying on a facet is a corner
     of one of its simplices, and each corner gets the bitmask of the facets it
     lies on.  A corner is a vertex iff no other corner's mask contains its own:

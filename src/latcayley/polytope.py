@@ -301,6 +301,12 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     the least and greatest first coordinate of a vertex, which shrinks by one
     at each end in relative-interior mode unless it is a single point.
 
+    A level k+1 row is split into its head over x_0..x_{k-1}, its
+    coefficient a of x_k and m = |u_{k+1}|.  A node at level k reduces each
+    row over its prefix once, b = r - head.prefix, and each child x_k gets
+    its exact bounds (b - a x_k) // m, so no dot product runs again over the
+    coordinates fixed higher up.
+
     Levels 1..n-2 come from ``_projection_rows``.  With g the gcd of all
     vertex coordinates (1 for the origin), P = gB and pi_k(P) = g pi_k(B) has
     the rows of pi_k(B) with g times their offsets; so they are cached per B,
@@ -320,13 +326,9 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     if n == 0:
         return [()]
     strict = int(mode is Mode.RELATIVE_INTERIOR)
-    # levels[k] = (upper, lower); a row (head, m, r) bounds x_k above by
-    # (r - head.x) // m, or below by -((r - head.x) // m)
+    # levels[k] = (upper, lower); a row (head, a, m, r) bounds x_k above by
+    # (r - head.x - a x_{k-1}) // m, or below by -((r - head.x - a x_{k-1}) // m)
     levels: list[tuple[list, list]] = [([], []) for _ in range(n)]
-    lo, hi = min(v[0] for v in desc.vertices), max(v[0] for v in desc.vertices)
-    if lo < hi:
-        lo, hi = lo + strict, hi - strict
-    levels[0] = ([((), 1, hi)], [((), 1, -lo)])
     scaled = [(1, _level_rows(desc, n - 1))] if n > 1 else []  # (g, rows) for levels 1..n-1
     if n > 2:
         g = math.gcd(*(x for v in desc.vertices for x in v)) or 1
@@ -334,28 +336,32 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
         scaled[:0] = [(g, rows) for rows in _projection_rows(base)]
     for k, (g, rows) in enumerate(scaled, 1):
         for head, m, c, is_facet, side in rows:
-            levels[k][side].append((head, m, g * c - strict * is_facet))
+            levels[k][side].append((head[:-1], head[-1], m, g * c - strict * is_facet))
     budget = cell_budget()
     out: list[IntVec] = []
 
-    def rec(k: int, prefix: IntVec) -> None:
-        upper, lower = levels[k]
-        hi = min((r - dot(h, prefix)) // c for h, c, r in upper)
-        lo = max(-((r - dot(h, prefix)) // c) for h, c, r in lower)
-        if lo > hi:
+    def rec(k: int, prefix: IntVec, lo: int, hi: int) -> None:
+        # x_k runs over [lo, hi]
+        if k == n - 1:
+            if len(out) + hi - lo + 1 > budget:
+                raise CellBudgetExceeded(
+                    f"lattice point enumeration would return more than {budget} points; "
+                    f"raise {CELL_BUDGET_ENV} to allow more"
+                )
+            out.extend(prefix + (x,) for x in range(lo, hi + 1))
             return
-        if k < n - 1:
-            for x in range(lo, hi + 1):
-                rec(k + 1, prefix + (x,))
-            return
-        if len(out) + hi - lo + 1 > budget:
-            raise CellBudgetExceeded(
-                f"lattice point enumeration would return more than {budget} points; "
-                f"raise {CELL_BUDGET_ENV} to allow more"
-            )
-        out.extend(prefix + (x,) for x in range(lo, hi + 1))
+        upper, lower = ([(r - dot(h, prefix), a, m) for h, a, m, r in rows] for rows in levels[k + 1])
+        for x in range(lo, hi + 1):
+            top = min((b - a * x) // m for b, a, m in upper)
+            bottom = max(-((b - a * x) // m) for b, a, m in lower)
+            if bottom <= top:
+                rec(k + 1, prefix + (x,), bottom, top)
 
-    rec(0, ())
+    lo, hi = min(v[0] for v in desc.vertices), max(v[0] for v in desc.vertices)
+    if lo < hi:
+        lo, hi = lo + strict, hi - strict
+    if lo <= hi:
+        rec(0, (), lo, hi)
     return out
 
 

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from latcayley import from_vertices, load_polytope
+from latcayley.geometry import _echelon, norm_scalar
 from latcayley.polytope import _ENUMERATION_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -23,6 +25,17 @@ def load_fixture(name: str):
 
 def all_fixture_names() -> list[str]:
     return sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+def rank(rows) -> int:
+    """Rank of a rational matrix, from the library's fraction-free elimination."""
+    return len(_echelon(rows)[1])
+
+
+def barycenter(points):
+    """Exact average of a nonempty list of equal-length points."""
+    k = len(points)
+    return tuple(norm_scalar(Fraction(sum(c), k)) for c in zip(*points))
 
 
 def run_optimized(code: str) -> subprocess.CompletedProcess:

@@ -35,9 +35,9 @@ from latcayley import (
     translate,
     verify_theorem,
 )
-from latcayley.geometry import barycenter, norm_scalar
+from latcayley.geometry import norm_scalar
 
-from conftest import all_fixture_names, load_fixture
+from conftest import all_fixture_names, barycenter, load_fixture
 
 
 def announce(capsys, number, ok, detail):

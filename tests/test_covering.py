@@ -55,17 +55,15 @@ from latcayley.geometry import (
     Vec,
     _piece_edges,
     _tight_masks,
-    barycenter,
     cell_budget,
     contains,
     convex_hull,
     dot,
     norm_scalar,
-    rank,
     vec_sub,
 )
 
-from conftest import run_optimized
+from conftest import barycenter, rank, run_optimized
 
 
 def P(*verts):
@@ -392,6 +390,18 @@ def test_witness_recheck_survives_optimized_mode():
     )
     assert proc.returncode != 0
     assert "AssertionError: witness (Fraction(2, 3), Fraction(2, 3)) is covered by translate (0, 0)" in proc.stderr
+
+
+def test_interior_sample_check_survives_optimized_mode():
+    # with 2P read as P, the integer test of each translated barycenter must
+    # still raise when ``python -O`` strips asserts
+    proc = run_optimized(
+        "from latcayley import covering, from_vertices\n"
+        "covering.dilate = lambda P, factor: P\n"
+        "covering.has_interior_translate_cover(from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)]))\n"
+    )
+    assert proc.returncode != 0
+    assert "AssertionError: interior translate escaped relint(2P)" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Exact-arithmetic core: hulls, dual descriptions, linear algebra."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -20,6 +21,8 @@ from latcayley.geometry import (
     DEFAULT_CELL_BUDGET,
     CellBudgetExceeded,
     Mode,
+    _beneath_beyond,
+    _simplex,
     affine_hull,
     cell_budget,
     dot,
@@ -27,9 +30,10 @@ from latcayley.geometry import (
     norm_scalar,
     nullspace,
     primitive,
-    rank,
     vec_sub,
 )
+
+from conftest import rank
 
 
 def test_norm_scalar_collapses_integral_fractions():
@@ -275,6 +279,81 @@ def test_convex_hull_of_3d_minkowski_sum_matches_reference(seed):
     Q = from_vertices([tuple(rng.randint(-2, 2) for _ in range(3)) for _ in range(8)])
     sums = [tuple(a + b for a, b in zip(p, q)) for p in P.vertices for q in Q.vertices]
     assert convex_hull(sums) == _reference_hull(sums)
+
+
+def _line(base, direction, ts):
+    return [tuple(b + t * d for b, d in zip(base, direction)) for t in ts]
+
+
+# in the order given, a segment's starting simplex is in its middle, so it grows at both ends
+_HULL_CASES = {
+    # (4, 0) sees x + y <= 2 and is collinear with the edge y >= 0 it does not see
+    "2d-collinear-with-unseen-edge": [(0, 0), (0, 2), (2, 0), (4, 0)],
+    "2d-collinear-with-both-axes": [(0, 0), (0, 2), (2, 0), (4, 0), (0, 5)],
+    # (4, 0, 0) sees x + y + z <= 2 and is coplanar with y >= 0 and z >= 0
+    "3d-coplanar-with-unseen-facets": [(0, 0, 0), (0, 0, 2), (0, 2, 0), (2, 0, 0), (4, 0, 0)],
+    "3d-coplanar-square-and-apex": [
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (3, 0, 0), (3, 3, 0), (0, 3, 0), (1, 1, 4)
+    ],
+    **{
+        f"1d-ambient-{n}": _line((1, -2, 0, 3)[:n], (2, -1, 3, 1)[:n], [0, 1, -3, 5, -1, 2])
+        for n in range(1, 5)
+    },
+    "2d-in-ambient-3": [(0, 0, 1), (2, 0, 3), (0, 2, -1), (4, 0, 5), (1, 1, 1), (-2, 0, -1)],
+    "2d-in-ambient-4": [(0, 0, 0, 0), (3, 3, 0, 6), (0, 1, 1, 1), (3, 4, 1, 7), (6, 6, 0, 12), (1, 2, 1, 3)],
+    "3d-in-ambient-5": [
+        (0, 0, 0, 1, 1), (1, 0, 0, 2, 1), (0, 1, 0, 1, 2), (0, 0, 1, 1, 1),
+        (3, 0, 0, 4, 1), (0, 3, 0, 1, 4), (1, 1, 1, 2, 2), (2, 2, 0, 3, 3),
+    ],
+    "fraction-2d": [
+        (Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1), (Fraction(3, 2), 0), (Fraction(-1, 2), Fraction(1, 3))
+    ],
+    "fraction-line-in-3d": _line((Fraction(1, 2), 0, 1), (Fraction(1, 3), 1, -2), [0, 1, -3, 5, -1]),
+}
+
+
+@pytest.mark.parametrize("pts", list(_HULL_CASES.values()), ids=list(_HULL_CASES))
+def test_convex_hull_matches_brute_force_reference_explicit(pts):
+    d = convex_hull(pts)
+    assert d == _reference_hull(pts)
+    assert convex_hull(pts[::-1]) == d
+    _assert_boundary_normals_are_kernel_vectors(sorted(set(pts), key=pts.index))
+
+
+def _kernel_facet(pts, corners, eq_normals, inner, dim):
+    """A boundary simplex's normal and offset as the one kernel vector of its
+    edges and the equality normals, oriented away from the inner point."""
+    p0 = pts[corners[0]]
+    (u,) = nullspace([vec_sub(pts[i], p0) for i in corners[1:]] + eq_normals, len(p0))
+    c = dot(u, p0)
+    return (tuple(-x for x in u), -c) if dot(u, inner) > (dim + 1) * c else (u, c)
+
+
+def _assert_boundary_normals_are_kernel_vectors(cand):
+    """Insert the distinct points ``cand`` from the starting simplex their order
+    gives; every boundary simplex then carries its kernel normal, every ridge
+    lies on exactly two simplices, and no point is beyond any of them."""
+    _, ipts, simplex, eqs = _simplex(cand)
+    if len(simplex) == 1:
+        return
+    eq_normals = [h.normal for h in eqs]
+    boundary = _beneath_beyond(ipts, simplex, eq_normals)
+    dim = len(simplex) - 1
+    inner = [sum(c) for c in zip(*(ipts[i] for i in simplex))]
+    ridges = Counter(r for s in boundary for r in combinations(s, dim - 1))
+    assert set(ridges.values()) == {2}
+    for corners, (u, c) in boundary.items():
+        assert (u, c) == _kernel_facet(ipts, corners, eq_normals, inner, dim)
+        assert all(dot(u, p) <= c for p in ipts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hull_inputs(), st.randoms(use_true_random=False))
+def test_boundary_simplex_normals_are_kernel_vectors(pts, rnd):
+    # a shuffled order starts from any simplex, so a segment grows at both ends
+    cand = sorted(set(pts))
+    rnd.shuffle(cand)
+    _assert_boundary_normals_are_kernel_vectors(cand)
 
 
 _entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))

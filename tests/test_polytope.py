@@ -245,6 +245,25 @@ def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enume
     assert len(lattice_points(dilate(unit_square, 2))) == 9
 
 
+def test_cell_budget_stops_a_4d_enumeration_inside_a_row(monkeypatch, cold_enumeration_cache):
+    Q = P((-2, 0, 0, 0), (2, 0, 0, 0), (0, -2, 0, 0), (0, 2, 0, 0), (0, 0, -2, 0), (0, 0, 2, 0), (0, 0, 0, -3),
+          (1, 1, 1, 3))
+    box = product(*(range(min(c), max(c) + 1) for c in zip(*Q.vertices)))
+    points = [p for p in box if contains(Q.desc, p)]
+    # a row is a run of points with the same first three coordinates; take the
+    # longest one and a budget that runs out just after its first point
+    starts = [i for i, p in enumerate(points) if i == 0 or p[:3] != points[i - 1][:3]]
+    lengths = [b - a for a, b in zip(starts, starts[1:] + [len(points)])]
+    row = lengths.index(max(lengths))
+    assert 0 < row < len(starts) - 1 and lengths[row] >= 3
+    for budget in (starts[row] + 1, len(points) - 1):
+        monkeypatch.setenv(CELL_BUDGET_ENV, str(budget))
+        with pytest.raises(CellBudgetExceeded, match=f"more than {budget} points"):
+            lattice_points(Q)
+    monkeypatch.setenv(CELL_BUDGET_ENV, str(len(points)))
+    assert lattice_points(Q).points == tuple(points)
+
+
 def test_enumeration_caches_hold_at_most_the_cell_budget_of_points(
     monkeypatch, unit_square, unit_cube, cold_enumeration_cache
 ):
