@@ -4,13 +4,18 @@ import ast
 import json
 import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from latcayley import (
     CampaignConfig,
     GeometryError,
+    LevelData,
+    PointSet,
     PolytopeFileError,
+    PropertyReport,
+    Verdict,
     dilate,
     load_polytope,
     minkowski_sum,
@@ -19,6 +24,7 @@ from latcayley import (
     save_polytope,
     verify_theorem,
 )
+from latcayley import campaigns
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, main
 from latcayley.geometry import CELL_BUDGET_ENV
@@ -159,6 +165,73 @@ def test_quantifier_truncations_are_noted():
     cfg = CampaignConfig("thm_0_4_equiv", trials=1, seed=0, dim_max=2, coord_bound=2)
     rep = verify_theorem(cfg)
     assert any("dilation bound" in n for n in rep.notes)
+
+
+def _stand_in(name, passes=None):
+    """A stand-in for the decider ``campaigns.<name>``: it refutes its input,
+    with the input's vertex lists as the witness, unless ``passes`` maps the
+    input's ambient dimension to a passing verdict."""
+    def decide(P, *horizon):
+        Ps = P if isinstance(P, list) else [P]
+        h = horizon[0] if horizon else None
+        verdict = (passes or {}).get(Ps[0].ambient_dim)
+        if verdict is not None:
+            return PropertyReport(name, verdict, horizon_used=h)
+        return PropertyReport(name, Verdict.FAILS, tuple(Q.vertices for Q in Ps), horizon_used=h)
+    return decide
+
+
+def _index(r):
+    """A stand-in for ``level_index`` that reports index r for every input."""
+    return lambda P: LevelData(r, PointSet(P.ambient_dim, ((0,) * P.ambient_dim,)))
+
+
+def _campaign_stand_ins(theorem_id) -> dict:
+    """Stand-ins that make every conclusion of a campaign fail.
+
+    The deciders ``_collect`` certifies its draws with stay real, so each
+    trial draws exactly what the real campaign draws.  Polygon factors and
+    their Minkowski sums lie in ambient dimension 2, the Cayley sum of two
+    of them in dimension 4.
+    """
+    level = {"level_index": _index(7), "level_status": _stand_in("level_status")}
+    return {
+        "thm_0_1": {"is_idp": _stand_in("is_idp"), **level},
+        "lemma_1_1": {"cayley_slice": lambda C, a: PointSet(C.ambient_dim, ())},
+        "lemma_1_2": {"interior_lattice_points": lambda P: PointSet(P.ambient_dim, ((-1,) * P.ambient_dim,))},
+        "thm_0_4_equiv": {"is_idp": _stand_in("is_idp", passes={4: Verdict.HOLDS})},
+        "thm_2_1": {"is_idp": _stand_in("is_idp")},
+        "lemma_2_2": {"is_2_convex_normal": _stand_in("is_2_convex_normal")},
+        "cor_2_3": {"is_idp": _stand_in("is_idp")},
+        "prop_3_1": {"level_status": _stand_in("level_status")},
+        "thm_3_2": level,
+        "lemma_3_3": {"has_interior_translate_cover": _stand_in("has_interior_translate_cover")},
+        "cor_3_4": level,
+        "bn_gorenstein": {
+            "is_gorenstein": _stand_in("is_gorenstein", passes={2: Verdict.VERIFIED_UP_TO_HORIZON}),
+            "level_index": _index(1),
+        },
+        "hnp_polygon_pair": {"is_tuple_idp": _stand_in("is_tuple_idp")},
+    }[theorem_id]
+
+
+CAMPAIGN_VIOLATIONS = Path(__file__).resolve().parent / "campaign_violations.json"
+
+
+def campaign_violations(theorem_id, monkeypatch) -> list:
+    """The violation records of a short campaign whose conclusions all fail."""
+    for name, fake in _campaign_stand_ins(theorem_id).items():
+        monkeypatch.setattr(campaigns, name, fake)
+    cfg = CampaignConfig(theorem_id, trials=3, seed=3, dim_max=2, coord_bound=3, dilation_bound=2)
+    return verify_theorem(cfg).to_dict()["violations"]
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_campaign_violation_records_are_pinned(theorem_id, monkeypatch):
+    # pins each runner's RNG order, trial inputs, notes and reports
+    expected = read_json(CAMPAIGN_VIOLATIONS)[theorem_id]
+    assert expected, "every campaign's stand-ins must produce a violation"
+    assert campaign_violations(theorem_id, monkeypatch) == expected
 
 
 # ---------------------------------------------------------------------------
