@@ -22,7 +22,6 @@ from .generator import random_lattice_polytope
 from .geometry import GeometryError
 from .polytope import (
     LatticePolytope,
-    PointSet,
     cayley_slice,
     cayley_sum,
     dilate,
@@ -112,12 +111,16 @@ def _sub_seed(rng: random.Random) -> int:
     return rng.randrange(2**63)
 
 
-def _shear2(P: LatticePolytope, rng: random.Random) -> LatticePolytope:
-    """Random unimodular transform plus translation in ambient dimension 2.
+def _poly2(rng: random.Random, config: CampaignConfig, dim: int | None = None) -> LatticePolytope:
+    """Random polytope in ambient dimension 2, of dimension 1 or 2 unless given.
 
-    Preserves every lattice-equivalence-invariant property while varying the
-    embedding, so axis-aligned samples gain generic directions.
+    A random unimodular transform plus translation then varies the embedding,
+    so axis-aligned samples gain generic directions; it preserves every
+    lattice-equivalence-invariant property.
     """
+    if dim is None:
+        dim = rng.randint(1, 2)
+    P = random_lattice_polytope(_sub_seed(rng), 2, dim, min(config.coord_bound, 2))
     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
     tx, ty = rng.randint(-1, 1), rng.randint(-1, 1)
     out = []
@@ -128,11 +131,6 @@ def _shear2(P: LatticePolytope, rng: random.Random) -> LatticePolytope:
     return from_vertices(out)
 
 
-def _poly2(rng: random.Random, dim: int, bound: int) -> LatticePolytope:
-    """Random polytope in ambient dimension 2 with generic direction."""
-    return _shear2(random_lattice_polytope(_sub_seed(rng), 2, dim, bound), rng)
-
-
 def _poly(rng: random.Random, dim: int, bound: int) -> LatticePolytope:
     return random_lattice_polytope(_sub_seed(rng), dim, dim, bound)
 
@@ -141,19 +139,6 @@ def _level_horizon(P: LatticePolytope, config: CampaignConfig) -> int:
     if config.horizon is not None:
         return config.horizon
     return level_index(P).index_r + 2
-
-
-def _certified(rng: random.Random, config: CampaignConfig, holds, grow) -> LatticePolytope | None:
-    """A random polygon, or else its dilate by ``grow(P)``, that ``holds``.
-
-    Small random polytopes rarely qualify, hence the dilate; the certificate
-    always comes from the decider inside ``holds``, never from the dilation.
-    """
-    P = _poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2))
-    if holds(P):
-        return P
-    Q = dilate(P, grow(P))
-    return Q if holds(Q) else None
 
 
 def _is_2cn(P: LatticePolytope) -> bool:
@@ -172,6 +157,55 @@ def _verts(*Ps: LatticePolytope) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return tuple(P.vertices for P in Ps)
 
 
+def _collect(rng, config, holds, grow, m) -> list[LatticePolytope] | None:
+    """m polygons that ``holds``, found within 20 random draws, or None.
+
+    A draw P that fails is replaced by its dilate by ``grow(P)``, since small
+    random polytopes rarely qualify; the certificate always comes from the
+    decider inside ``holds``, never from the dilation.
+    """
+    Ps = []
+    for _ in range(20):
+        P = _poly2(rng, config)
+        if holds(P) or holds(P := dilate(P, grow(P))):
+            Ps.append(P)
+        if len(Ps) == m:
+            return Ps
+    return None
+
+
+# ---------------------------------------------------------------------------
+# shared conclusion checks (append violations)
+
+
+def _check_sum_idp(trial, out, Ps, what):
+    """Theorem 2.1's conclusions for the factors Ps: their Minkowski sum is
+    IDP, and their Cayley sum is IDP iff the tuple is."""
+    rep = is_idp(minkowski_sum(Ps))
+    if rep.verdict is not Verdict.HOLDS:
+        out.append(Violation(trial, _verts(*Ps), f"Minkowski sum of {what} not IDP", rep))
+    cay = is_idp(cayley_sum(Ps))
+    tup = is_tuple_idp(Ps)
+    if (cay.verdict is Verdict.HOLDS) != (tup.verdict is Verdict.HOLDS):
+        out.append(
+            Violation(
+                trial,
+                _verts(*Ps),
+                f"Cayley IDP and tuple IDP disagree for {what}",
+                cay if cay.verdict is Verdict.FAILS else tup,
+            )
+        )
+
+
+def _check_level(trial, out, inputs, S, r, what, config):
+    """S has level index r and is level up to ``_level_horizon``."""
+    if level_index(S).index_r != r:
+        out.append(Violation(trial, inputs, f"{what} has level index != {r}"))
+    rep = level_status(S, _level_horizon(S, config))
+    if rep.verdict is Verdict.FAILS:
+        out.append(Violation(trial, inputs, f"{what} not level", rep))
+
+
 # ---------------------------------------------------------------------------
 # campaign runners (one trial each; append violations)
 
@@ -185,12 +219,7 @@ def _run_thm_0_1(rng, config, trial, out):
         if rep.verdict is not Verdict.HOLDS:
             out.append(Violation(trial, _verts(P), f"dilate by {n} not IDP", rep))
     if d <= 2:
-        Q = dilate(P, d + 1)
-        rep = level_status(Q, _level_horizon(Q, config))
-        if level_index(Q).index_r != 1:
-            out.append(Violation(trial, _verts(P), f"dilate by {d+1} has level index != 1"))
-        if rep.verdict is Verdict.FAILS:
-            out.append(Violation(trial, _verts(P), f"dilate by {d+1} not level", rep))
+        _check_level(trial, out, _verts(P), dilate(P, d + 1), 1, f"dilate by {d+1}", config)
 
 
 def _heights(m: int, top: int, positive: bool):
@@ -202,7 +231,7 @@ def _heights(m: int, top: int, positive: bool):
 
 def _run_lemma_1_1(rng, config, trial, out):
     m = rng.randint(2, 3)
-    Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(m)]
+    Ps = [_poly2(rng, config) for _ in range(m)]
     C = cayley_sum(Ps)
     total = config.dilation_bound
     for a in _heights(m, total, positive=False):
@@ -210,14 +239,13 @@ def _run_lemma_1_1(rng, config, trial, out):
             continue
         got = cayley_slice(C, a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
-        want = PointSet(got.ambient_dim, tuple(a + p for p in lattice_points(mink)))
-        if got.points != want.points:
+        if got.points != tuple(a + p for p in lattice_points(mink)):
             out.append(Violation(trial, _verts(*Ps), f"slice mismatch at heights {a}"))
 
 
 def _run_lemma_1_2(rng, config, trial, out):
     m = rng.randint(2, 3)
-    Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(m)]
+    Ps = [_poly2(rng, config) for _ in range(m)]
     total = max(config.dilation_bound, m)
     C = cayley_sum(Ps)
     for a in _heights(m, total, positive=True):
@@ -243,7 +271,7 @@ def _tuple_idp_all_dilations(Ps, bound) -> PropertyReport | None:
 
 
 def _run_thm_0_4_equiv(rng, config, trial, out):
-    Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(2)]
+    Ps = [_poly2(rng, config) for _ in range(2)]
     cay = is_idp(cayley_sum(Ps))
     singles_ok = all(is_idp(P).verdict is Verdict.HOLDS for P in Ps)
     dil_fail = _tuple_idp_all_dilations(Ps, config.dilation_bound) if singles_ok else None
@@ -266,37 +294,10 @@ def _run_thm_0_4_equiv(rng, config, trial, out):
                 out.append(Violation(trial, _verts(*Ps), f"dilated Minkowski sum {a} not IDP", rep))
 
 
-def _collect(rng, config, holds, grow, m) -> list[LatticePolytope] | None:
-    """m polytopes certified by ``_certified`` within 20 draws, or None."""
-    Ps = []
-    for _ in range(20):
-        cand = _certified(rng, config, holds, grow)
-        if cand is not None:
-            Ps.append(cand)
-        if len(Ps) == m:
-            return Ps
-    return None
-
-
 def _run_thm_2_1(rng, config, trial, out):
-    m = rng.randint(2, 3)
-    Ps = _collect(rng, config, _is_2cn, lambda P: P.dim, m)
-    if Ps is None:
-        return
-    rep = is_idp(minkowski_sum(Ps))
-    if rep.verdict is not Verdict.HOLDS:
-        out.append(Violation(trial, _verts(*Ps), "Minkowski sum of 2-convex-normal not IDP", rep))
-    cay = is_idp(cayley_sum(Ps))
-    tup = is_tuple_idp(Ps)
-    if (cay.verdict is Verdict.HOLDS) != (tup.verdict is Verdict.HOLDS):
-        out.append(
-            Violation(
-                trial,
-                _verts(*Ps),
-                "Cayley IDP and tuple IDP disagree for 2-convex-normal factors",
-                cay if cay.verdict is Verdict.FAILS else tup,
-            )
-        )
+    Ps = _collect(rng, config, _is_2cn, lambda P: P.dim, rng.randint(2, 3))
+    if Ps is not None:
+        _check_sum_idp(trial, out, Ps, "2-convex-normal factors")
 
 
 def _run_lemma_2_2(rng, config, trial, out):
@@ -316,23 +317,9 @@ def _run_lemma_2_2(rng, config, trial, out):
 
 
 def _run_cor_2_3(rng, config, trial, out):
-    Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(2)]
+    Ps = [_poly2(rng, config) for _ in range(2)]
     ns = [P.dim + rng.randint(0, 1) for P in Ps]
-    Qs = [dilate(P, n) for P, n in zip(Ps, ns)]
-    rep = is_idp(minkowski_sum(Qs))
-    if rep.verdict is not Verdict.HOLDS:
-        out.append(Violation(trial, _verts(*Qs), f"Minkowski sum of dilates {ns} not IDP", rep))
-    cay = is_idp(cayley_sum(Qs))
-    tup = is_tuple_idp(Qs)
-    if (cay.verdict is Verdict.HOLDS) != (tup.verdict is Verdict.HOLDS):
-        out.append(
-            Violation(
-                trial,
-                _verts(*Qs),
-                f"Cayley IDP and tuple IDP disagree for dilates {ns}",
-                cay if cay.verdict is Verdict.FAILS else tup,
-            )
-        )
+    _check_sum_idp(trial, out, [dilate(P, n) for P, n in zip(Ps, ns)], f"dilates {ns}")
 
 
 def _run_prop_3_1(rng, config, trial, out):
@@ -347,20 +334,9 @@ def _run_prop_3_1(rng, config, trial, out):
 
 def _run_thm_3_2(rng, config, trial, out):
     Ps = _collect(rng, config, _has_interior_cover, lambda P: P.dim + 1, 2)
-    if Ps is None:
-        return
-    M = minkowski_sum(Ps)
-    if level_index(M).index_r != 1:
-        out.append(Violation(trial, _verts(*Ps), "Minkowski sum level index != 1"))
-    repM = level_status(M, _level_horizon(M, config))
-    if repM.verdict is Verdict.FAILS:
-        out.append(Violation(trial, _verts(*Ps), "Minkowski sum not level", repM))
-    C = cayley_sum(Ps)
-    if level_index(C).index_r != len(Ps):
-        out.append(Violation(trial, _verts(*Ps), f"Cayley sum level index != {len(Ps)}"))
-    repC = level_status(C, _level_horizon(C, config))
-    if repC.verdict is Verdict.FAILS:
-        out.append(Violation(trial, _verts(*Ps), "Cayley sum not level", repC))
+    if Ps is not None:
+        _check_level(trial, out, _verts(*Ps), minkowski_sum(Ps), 1, "Minkowski sum", config)
+        _check_level(trial, out, _verts(*Ps), cayley_sum(Ps), len(Ps), "Cayley sum", config)
 
 
 def _run_lemma_3_3(rng, config, trial, out):
@@ -382,20 +358,11 @@ def _run_lemma_3_3(rng, config, trial, out):
 
 
 def _run_cor_3_4(rng, config, trial, out):
-    Ps = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(2)]
+    Ps = [_poly2(rng, config) for _ in range(2)]
     Qs = [dilate(P, P.dim + 1 + rng.randint(0, 1)) for P in Ps]
-    M = minkowski_sum(Qs)
-    if level_index(M).index_r != 1:
-        out.append(Violation(trial, _verts(*Qs), "Minkowski sum of dilates: level index != 1"))
-    repM = level_status(M, _level_horizon(M, config))
-    if repM.verdict is Verdict.FAILS:
-        out.append(Violation(trial, _verts(*Qs), "Minkowski sum of dilates not level", repM))
-    C = cayley_sum(Qs)
-    if level_index(C).index_r != 2:
-        out.append(Violation(trial, _verts(*Qs), "Cayley sum of dilates: level index != 2"))
-    repC = level_status(C, _level_horizon(C, config))
-    if repC.verdict is Verdict.FAILS:
-        out.append(Violation(trial, _verts(*Qs), "Cayley sum of dilates not level", repC))
+    inputs = _verts(*Qs)
+    _check_level(trial, out, inputs, minkowski_sum(Qs), 1, "Minkowski sum of dilates", config)
+    _check_level(trial, out, inputs, cayley_sum(Qs), len(Qs), "Cayley sum of dilates", config)
 
 
 def _gorenstein_pair(rng) -> list[LatticePolytope]:
@@ -417,7 +384,7 @@ def _run_bn_gorenstein(rng, config, trial, out):
     else:
         Ps = None
         for _ in range(20):
-            cand = [_poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2)) for _ in range(2)]
+            cand = [_poly2(rng, config) for _ in range(2)]
             if minkowski_sum(cand).dim == 2:
                 Ps = cand
                 break
@@ -442,8 +409,8 @@ def _run_bn_gorenstein(rng, config, trial, out):
 
 
 def _run_hnp_polygon_pair(rng, config, trial, out):
-    Q = _poly2(rng, 2, min(config.coord_bound, 2))
-    R = _poly2(rng, rng.randint(1, 2), min(config.coord_bound, 2))
+    Q = _poly2(rng, config, 2)
+    R = _poly2(rng, config)
     P = minkowski_sum([Q, R])
     if not normal_fan_coarsens(P, Q):
         out.append(
@@ -458,57 +425,46 @@ def _run_hnp_polygon_pair(rng, config, trial, out):
         out.append(Violation(trial, _verts(P, Q), "fan-coarsening polygon pair not IDP", rep))
 
 
-_RUNNERS = {
-    "thm_0_1": _run_thm_0_1,
-    "lemma_1_1": _run_lemma_1_1,
-    "lemma_1_2": _run_lemma_1_2,
-    "thm_0_4_equiv": _run_thm_0_4_equiv,
-    "thm_2_1": _run_thm_2_1,
-    "lemma_2_2": _run_lemma_2_2,
-    "cor_2_3": _run_cor_2_3,
-    "prop_3_1": _run_prop_3_1,
-    "thm_3_2": _run_thm_3_2,
-    "lemma_3_3": _run_lemma_3_3,
-    "cor_3_4": _run_cor_3_4,
-    "bn_gorenstein": _run_bn_gorenstein,
-    "hnp_polygon_pair": _run_hnp_polygon_pair,
+_HORIZON_CAVEAT = "level checks verified up to a finite horizon, not unconditionally"
+
+# campaign id -> (runner, the caveat its report notes, or None)
+_CAMPAIGNS = {
+    "thm_0_1": (_run_thm_0_1, "level part verified up to a finite horizon, not unconditionally"),
+    "lemma_1_1": (_run_lemma_1_1, "slice equality checked on integer height vectors with bounded total; "
+                  "the real-valued statement is not mechanically checkable"),
+    "lemma_1_2": (_run_lemma_1_2, "interior slice equality checked on positive integer height vectors with "
+                  "bounded total; the real-valued statement is not mechanically checkable"),
+    "thm_0_4_equiv": (_run_thm_0_4_equiv, "dilated-tuple quantifier truncated to coefficients bounded by "
+                      "the configured dilation bound"),
+    "thm_2_1": (_run_thm_2_1, None),
+    "lemma_2_2": (_run_lemma_2_2, None),
+    "cor_2_3": (_run_cor_2_3, None),
+    "prop_3_1": (_run_prop_3_1, _HORIZON_CAVEAT),
+    "thm_3_2": (_run_thm_3_2, _HORIZON_CAVEAT),
+    "lemma_3_3": (_run_lemma_3_3, None),
+    "cor_3_4": (_run_cor_3_4, _HORIZON_CAVEAT),
+    "bn_gorenstein": (_run_bn_gorenstein, _HORIZON_CAVEAT),
+    "hnp_polygon_pair": (_run_hnp_polygon_pair, None),
 }
 
-THEOREM_IDS = tuple(sorted(_RUNNERS))
-
-_CAMPAIGN_NOTES = {
-    "lemma_1_1": "slice equality checked on integer height vectors with bounded total; "
-    "the real-valued statement is not mechanically checkable",
-    "lemma_1_2": "interior slice equality checked on positive integer height vectors with "
-    "bounded total; the real-valued statement is not mechanically checkable",
-    "thm_0_4_equiv": "dilated-tuple quantifier truncated to coefficients bounded by the "
-    "configured dilation bound",
-    "bn_gorenstein": "level checks verified up to a finite horizon, not unconditionally",
-    "thm_3_2": "level checks verified up to a finite horizon, not unconditionally",
-    "cor_3_4": "level checks verified up to a finite horizon, not unconditionally",
-    "prop_3_1": "level checks verified up to a finite horizon, not unconditionally",
-    "thm_0_1": "level part verified up to a finite horizon, not unconditionally",
-}
+THEOREM_IDS = tuple(sorted(_CAMPAIGNS))
 
 
 def verify_theorem(config: CampaignConfig) -> CampaignReport:
     """Run one campaign and report the violations found (ideally none)."""
-    runner = _RUNNERS.get(config.theorem_id)
-    if runner is None:
+    if config.theorem_id not in _CAMPAIGNS:
         raise GeometryError(
             f"unknown theorem id {config.theorem_id!r}; valid ids: {', '.join(THEOREM_IDS)}"
         )
+    runner, caveat = _CAMPAIGNS[config.theorem_id]
     violations: list[Violation] = []
     for trial in range(config.trials):
         rng = random.Random(config.seed * _SEED_STRIDE + trial)
         runner(rng, config, trial, violations)
-    notes = ()
-    if config.theorem_id in _CAMPAIGN_NOTES:
-        notes = (_CAMPAIGN_NOTES[config.theorem_id],)
     return CampaignReport(
         theorem_id=config.theorem_id,
         trials_run=config.trials,
         violations=tuple(violations),
         config=config,
-        notes=notes,
+        notes=() if caveat is None else (caveat,),
     )

@@ -72,16 +72,8 @@ def norm_scalar(x: Scalar) -> Scalar:
     return x
 
 
-def as_fraction(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def dot(a: Vec, b: Vec) -> Scalar:
     return sum(map(operator.mul, a, b))
-
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(norm_scalar(x + y) for x, y in zip(a, b))
 
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
@@ -94,16 +86,6 @@ def is_integer_vec(v: Vec) -> bool:
         (isinstance(x, int) and not isinstance(x, bool)) or (isinstance(x, Fraction) and x.denominator == 1)
         for x in v
     )
-
-
-def primitive(v: Vec) -> IntVec:
-    """Scale a nonzero rational vector to a primitive integer vector (sign kept)."""
-    denom = math.lcm(*(as_fraction(x).denominator for x in v))
-    ints = [int(x * denom) for x in v]
-    g = math.gcd(*ints)
-    if g == 0:
-        raise GeometryError("zero vector has no primitive form")
-    return tuple(x // g for x in ints)
 
 
 def _lex_sign(v: IntVec) -> int:
@@ -204,19 +186,6 @@ class Hyperplane:
             raise GeometryError("hyperplane normal must have positive leading entry")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", norm_scalar(self.offset))
-
-    @classmethod
-    def through(cls, normal: Vec, offset: Scalar) -> "Hyperplane":
-        """Canonicalize an arbitrary rational (normal, offset) pair."""
-        prim = primitive(normal)
-        # scale factor prim = s * normal with s > 0
-        idx = next(i for i, x in enumerate(prim) if x)
-        s = Fraction(prim[idx], 1) / as_fraction(normal[idx])
-        off = as_fraction(offset) * s
-        if _lex_sign(prim) < 0:
-            prim = tuple(-x for x in prim)
-            off = -off
-        return cls(prim, norm_scalar(off))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ from .geometry import (
     convex_hull,
     dot,
     is_integer_vec,
-    norm_scalar,
-    vec_add,
 )
 
 
@@ -72,7 +70,7 @@ class LatticePolytope:
 
     @property
     def vertices(self) -> tuple[IntVec, ...]:
-        return tuple(tuple(int(x) for x in v) for v in self.desc.vertices)
+        return self.desc.vertices
 
     def __repr__(self) -> str:  # keep reprs short in test output
         return f"LatticePolytope(dim={self.dim}, vertices={self.vertices})"
@@ -146,15 +144,22 @@ def from_vertices(points) -> LatticePolytope:
 
 
 def translate(P: LatticePolytope, v) -> LatticePolytope:
-    """Shift by an integer vector; canonical form is preserved."""
+    """Shift by an integer vector.
+
+    A shift keeps the vertices' lexicographic order and every normal, so the
+    shifted description is canonical as it stands.
+    """
     v = _int_vec(v, "translation")
     if len(v) != P.ambient_dim:
         raise GeometryError("translation vector has wrong length")
     d = P.desc
-    verts = tuple(vec_add(p, v) for p in d.vertices)
-    facets = tuple((n, norm_scalar(c + dot(n, v))) for n, c in d.facets)
-    eqs = tuple(Hyperplane(h.normal, norm_scalar(h.offset + dot(h.normal, v))) for h in d.equalities)
-    return LatticePolytope(DualDescription(d.ambient_dim, d.dim, verts, facets, eqs))
+    return LatticePolytope._trusted(
+        d.ambient_dim,
+        d.dim,
+        tuple(tuple(map(add, p, v)) for p in d.vertices),
+        tuple((u, c + dot(u, v)) for u, c in d.facets),
+        tuple((h.normal, h.offset + dot(h.normal, v)) for h in d.equalities),
+    )
 
 
 def _origin(n: int) -> LatticePolytope:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from latcayley import from_vertices, load_polytope
-from latcayley.geometry import _echelon, norm_scalar
+from latcayley.geometry import GeometryError, Hyperplane, _echelon, norm_scalar
 from latcayley.polytope import _ENUMERATION_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -30,6 +31,26 @@ def all_fixture_names() -> list[str]:
 def rank(rows) -> int:
     """Rank of a rational matrix, from the library's fraction-free elimination."""
     return len(_echelon(rows)[1])
+
+
+def primitive(v):
+    """Scale a nonzero rational vector to a primitive integer vector (sign kept)."""
+    denom = math.lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(x * denom) for x in v]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise GeometryError("zero vector has no primitive form")
+    return tuple(x // g for x in ints)
+
+
+def hyperplane_through(normal, offset) -> Hyperplane:
+    """The canonical Hyperplane {x : normal . x = offset} of any rational pair."""
+    prim = primitive(normal)
+    lead = next(i for i, x in enumerate(prim) if x)
+    scale = Fraction(prim[lead]) / Fraction(normal[lead])  # prim = scale * normal, scale > 0
+    if prim[lead] < 0:
+        prim, scale = tuple(-x for x in prim), -scale
+    return Hyperplane(prim, Fraction(offset) * scale)
 
 
 def barycenter(points):

@@ -63,7 +63,7 @@ from latcayley.geometry import (
     vec_sub,
 )
 
-from conftest import barycenter, rank, run_optimized
+from conftest import barycenter, hyperplane_through, rank, run_optimized
 
 
 def P(*verts):
@@ -195,7 +195,7 @@ def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
     for t in q.translations:
         desc = translate(q.translate_base, t).desc
         for normal, c in desc.facets:
-            planes[Hyperplane.through(normal, c)] = None
+            planes[hyperplane_through(normal, c)] = None
         planes.update(dict.fromkeys(desc.equalities))
     budget = cell_budget()
     k = len(planes) + len(target.facets)
@@ -527,7 +527,7 @@ def test_closed_failure_has_full_dimensional_cell(reeve):
             planes.append((normal, offset))
     for normal, offset in q.target.desc.facets:
         planes.append((normal, offset))
-    unique = list({Hyperplane.through(n, c) for n, c in planes})
+    unique = list({hyperplane_through(n, c) for n, c in planes})
     samples = arrangement_sample_points(unique, q.target.desc)
     open_uncovered = [
         w

@@ -29,11 +29,10 @@ from latcayley.geometry import (
     is_integer_vec,
     norm_scalar,
     nullspace,
-    primitive,
     vec_sub,
 )
 
-from conftest import rank
+from conftest import hyperplane_through, primitive, rank
 
 
 def test_norm_scalar_collapses_integral_fractions():
@@ -51,10 +50,10 @@ def test_primitive_divides_out_gcd_and_keeps_sign():
 
 
 def test_hyperplane_canonical_sign():
-    h = Hyperplane.through((-2, 0), Fraction(-3, 1))
+    h = hyperplane_through((-2, 0), Fraction(-3, 1))
     assert h == Hyperplane(normal=(1, 0), offset=Fraction(3, 2))
     # opposite orientations of the same plane canonicalize identically
-    assert Hyperplane.through((4, 0), 6) == h
+    assert hyperplane_through((4, 0), 6) == h
     with pytest.raises(GeometryError):
         Hyperplane((0, 0), 1)
 
@@ -187,7 +186,7 @@ def _reference_affine_hull(points):
     red, pivots = rref([vec_sub(p, base) for p in pts[1:]])
     normals = _reference_nullspace(red, n)
     red2, _ = rref([list(a) + [dot(a, base)] for a in normals])
-    eqs = sorted((Hyperplane.through(tuple(row[:n]), row[n]) for row in red2),
+    eqs = sorted((hyperplane_through(tuple(row[:n]), row[n]) for row in red2),
                  key=lambda h: (h.normal, Fraction(h.offset)))
     return len(pivots), tuple(eqs)
 

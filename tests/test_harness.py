@@ -3,6 +3,7 @@
 import ast
 import json
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -544,4 +545,33 @@ def test_no_unused_imports():
             elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 used.update(e.value for e in node.value.elts)
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
+
+
+def test_every_library_definition_is_used():
+    # every function, class and method defined in the library (dunders aside)
+    # is named somewhere in the library outside its own body, or exported
+    # through __all__; test-only helpers live in tests/conftest.py
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((FIXTURES.parent / "src" / "latcayley").glob("*.py"))}
+
+    def names(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                       for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+    named = sum((names(tree) for tree in trees.values()), Counter())
+    exported = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported.update(e.value for e in node.value.elts)
+    unused = [
+        f"{file}:{node.lineno}: {node.name}"
+        for file, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in exported
+        and named[node.name] == names(node)[node.name]
+    ]
     assert unused == []

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,6 +292,22 @@ def test_translate_moves_lattice_points(unit_square):
     moved = translate(unit_square, (2, -1))
     assert moved.vertices == ((2, -1), (2, 0), (3, -1), (3, 0))
     assert len(lattice_points(moved).points) == 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_translate_matches_the_hull_of_shifted_vertices(data):
+    # polytopes of every dimension k <= n in ambient dimension n = 1-4, spanned
+    # by k random directions; the lower-dimensional ones carry equalities
+    n = data.draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    dirs = data.draw(st.lists(st.tuples(*[coord] * n), max_size=n))
+    base = data.draw(st.tuples(*[coord] * n))
+    coeffs = data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(dirs)), min_size=1, max_size=6))
+    Q = from_vertices([tuple(b + sum(c * w[i] for c, w in zip(cs, dirs)) for i, b in enumerate(base))
+                       for cs in coeffs])
+    v = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    assert translate(Q, v) == from_vertices([tuple(map(add, p, v)) for p in Q.vertices])
 
 
 # ---------------------------------------------------------------------------
