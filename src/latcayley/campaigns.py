@@ -360,9 +360,8 @@ def _run_lemma_3_3(rng, config, trial, out):
 def _run_cor_3_4(rng, config, trial, out):
     Ps = [_poly2(rng, config) for _ in range(2)]
     Qs = [dilate(P, P.dim + 1 + rng.randint(0, 1)) for P in Ps]
-    inputs = _verts(*Qs)
-    _check_level(trial, out, inputs, minkowski_sum(Qs), 1, "Minkowski sum of dilates", config)
-    _check_level(trial, out, inputs, cayley_sum(Qs), len(Qs), "Cayley sum of dilates", config)
+    _check_level(trial, out, _verts(*Qs), minkowski_sum(Qs), 1, "Minkowski sum of dilates", config)
+    _check_level(trial, out, _verts(*Qs), cayley_sum(Qs), len(Qs), "Cayley sum of dilates", config)
 
 
 def _gorenstein_pair(rng) -> list[LatticePolytope]:

@@ -188,7 +188,7 @@ def _index(r):
 
 
 def _campaign_stand_ins(theorem_id) -> dict:
-    """Stand-ins that make every conclusion of a campaign fail.
+    """Stand-ins under which every trial of a campaign records a violation.
 
     The deciders ``_collect`` certifies its draws with stay real, so each
     trial draws exactly what the real campaign draws.  Polygon factors and
@@ -216,6 +216,7 @@ def _campaign_stand_ins(theorem_id) -> dict:
     }[theorem_id]
 
 
+# campaign_violations(id) for every id in THEOREM_IDS, one record a line
 CAMPAIGN_VIOLATIONS = Path(__file__).resolve().parent / "campaign_violations.json"
 
 
