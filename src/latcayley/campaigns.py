@@ -32,8 +32,10 @@ from .polytope import (
     normal_fan_coarsens,
 )
 from .properties import (
+    LevelData,
     PropertyReport,
     Verdict,
+    _level_scan,
     is_gorenstein,
     is_idp,
     is_tuple_idp,
@@ -135,10 +137,10 @@ def _poly(rng: random.Random, dim: int, bound: int) -> LatticePolytope:
     return random_lattice_polytope(_sub_seed(rng), dim, dim, bound)
 
 
-def _level_horizon(P: LatticePolytope, config: CampaignConfig) -> int:
+def _level_horizon(data: LevelData, config: CampaignConfig) -> int:
     if config.horizon is not None:
         return config.horizon
-    return level_index(P).index_r + 2
+    return data.index_r + 2
 
 
 def _is_2cn(P: LatticePolytope) -> bool:
@@ -199,9 +201,10 @@ def _check_sum_idp(trial, out, Ps, what):
 
 def _check_level(trial, out, inputs, S, r, what, config):
     """S has level index r and is level up to ``_level_horizon``."""
-    if level_index(S).index_r != r:
+    data = level_index(S)
+    if data.index_r != r:
         out.append(Violation(trial, inputs, f"{what} has level index != {r}"))
-    rep = level_status(S, _level_horizon(S, config))
+    rep = _level_scan(S, data, _level_horizon(data, config))
     if rep.verdict is Verdict.FAILS:
         out.append(Violation(trial, inputs, f"{what} not level", rep))
 
@@ -327,7 +330,7 @@ def _run_prop_3_1(rng, config, trial, out):
     if Ps is None:
         return
     (P,) = Ps
-    rep = level_status(P, _level_horizon(P, config))
+    rep = level_status(P, _level_horizon(level_index(P), config))
     if rep.verdict is Verdict.FAILS:
         out.append(Violation(trial, _verts(P), "interior-cover polytope not level", rep))
 
@@ -391,10 +394,10 @@ def _run_bn_gorenstein(rng, config, trial, out):
             return
     M = minkowski_sum(Ps)
     C = cayley_sum(Ps)
-    gM = is_gorenstein(M, _level_horizon(M, config))
-    gC = is_gorenstein(C, _level_horizon(C, config))
-    mink_side = gM.verdict is Verdict.VERIFIED_UP_TO_HORIZON and level_index(M).index_r == 1
-    cay_side = gC.verdict is Verdict.VERIFIED_UP_TO_HORIZON and level_index(C).index_r == 2
+    gM = is_gorenstein(M, _level_horizon(level_index(M), config))
+    gC = is_gorenstein(C, _level_horizon(level_index(C), config))
+    mink_side = gM.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gM.degrees_checked[0] == 1
+    cay_side = gC.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gC.degrees_checked[0] == 2
     if mink_side != cay_side:
         out.append(
             Violation(

@@ -18,6 +18,7 @@ import json
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -209,7 +210,9 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
                    help="also write the JSON report to this file")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="latcayley",
         description="Exact deciders and campaigns for Minkowski and Cayley sums "

@@ -93,12 +93,12 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
     fconst = [_constant_value(normal, tverts) for normal, _ in base.facets]
-    econst = [_constant_value(h.normal, tverts) for h in base.equalities]
+    econst = [_constant_value(normal, tverts) for normal, _ in base.equalities]
     normals = [normal for (normal, _), val in zip(base.facets, fconst) if val is None]
     carve = len(normals)
-    for h, val in zip(base.equalities, econst):
+    for (normal, _), val in zip(base.equalities, econst):
         if val is None:
-            normals += [h.normal, tuple(-x for x in h.normal)]
+            normals += [normal, tuple(-x for x in normal)]
 
     def row(t: IntVec) -> IntVec | None:
         out: list[int] = []
@@ -110,8 +110,8 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, lis
                 # the inequality fails everywhere on the target (or, open
                 # mode, is never strict there)
                 return None
-        for h, val in zip(base.equalities, econst):
-            off = h.offset + dot(h.normal, t)
+        for (normal, c), val in zip(base.equalities, econst):
+            off = c + dot(normal, t)
             if val is None:
                 out += [off, -off]
             elif val != off:
@@ -328,7 +328,7 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     S = tuple(map(sum, zip(*P.desc.vertices)))
     for t in pts:
         x = tuple(s + k * a for s, a in zip(S, t))
-        if any(dot(h.normal, x) != k * h.offset for h in two.desc.equalities) or any(
+        if any(dot(u, x) != k * c for u, c in two.desc.equalities) or any(
             dot(u, x) >= k * c for u, c in two.desc.facets
         ):
             raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")

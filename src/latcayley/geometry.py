@@ -9,6 +9,11 @@ Kernels go through one fraction-free Gauss-Jordan elimination over the
 integers, ``_echelon``; affine hulls go through one greedy independence pass,
 ``_simplex``.  ``convex_hull`` is the one hull routine: beneath-beyond
 insertion in exact integers, described there.
+
+A polytope is described by its vertices and two kinds of constraint, both
+``(u, c)`` pairs of a primitive integer normal ``u`` and an offset ``c``:
+facets, ``u.x <= c`` with ``u`` outward, and equalities, ``u.x = c`` with the
+first nonzero entry of ``u`` positive, each kind sorted.
 """
 
 from __future__ import annotations
@@ -25,8 +30,9 @@ from itertools import combinations
 Scalar = int | Fraction
 Vec = tuple[Scalar, ...]
 IntVec = tuple[int, ...]
-# A facet is (outward primitive integer normal n, offset c) meaning n.x <= c.
-Facet = tuple[IntVec, Scalar]
+# A constraint (primitive integer normal u, offset c): u.x <= c as a facet,
+# u.x = c as an equality.
+Constraint = tuple[IntVec, Scalar]
 
 DEFAULT_CELL_BUDGET = 10**6
 CELL_BUDGET_ENV = "LATCAYLEY_CELL_BUDGET"
@@ -164,52 +170,41 @@ def nullspace(rows: list[Vec], ncols: int) -> list[IntVec]:
 
 
 @dataclass(frozen=True)
-class Hyperplane:
-    """Affine hyperplane {x : normal . x = offset} with primitive integer normal.
-
-    Canonical form: gcd of the normal entries is 1 and the first nonzero entry
-    is positive, so structural equality decides geometric equality.
-    """
-
-    normal: IntVec
-    offset: Scalar
-
-    def __post_init__(self) -> None:
-        n = tuple(self.normal)
-        if not n or all(x == 0 for x in n):
-            raise GeometryError("hyperplane normal must be nonzero")
-        if any(not isinstance(x, int) for x in n):
-            raise GeometryError("hyperplane normal must be integral")
-        if math.gcd(*n) != 1:
-            raise GeometryError("hyperplane normal must be primitive")
-        if _lex_sign(n) < 0:
-            raise GeometryError("hyperplane normal must have positive leading entry")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", norm_scalar(self.offset))
-
-
-@dataclass(frozen=True)
 class DualDescription:
     """Canonical vertex + facet + affine-hull description of a bounded polytope.
 
+    Facets are pairs (u, c) for u.x <= c and equalities pairs (u, c) for
+    u.x = c, each u a primitive integer normal, both kinds sorted.
     Invariants: vertices are lexicographically sorted and irredundant; facet
-    normals are primitive integers lying in the direction space of the affine
-    hull and point outward; equalities are the canonical (RREF-derived) cutting
-    hyperplanes of the affine hull; dim + len(equalities) == ambient_dim.
-    Structural equality therefore decides equality of the underlying sets.
+    normals lie in the direction space of the affine hull and point outward;
+    equalities are the canonical (RREF-derived) cutting hyperplanes of the
+    affine hull, each normal's first nonzero entry positive;
+    dim + len(equalities) == ambient_dim.  Structural equality therefore
+    decides equality of the underlying sets.
     """
 
     ambient_dim: int
     dim: int
     vertices: tuple[Vec, ...]
-    facets: tuple[Facet, ...]
-    equalities: tuple[Hyperplane, ...]
+    facets: tuple[Constraint, ...]
+    equalities: tuple[Constraint, ...]
 
     def __post_init__(self) -> None:
         verts = tuple(tuple(norm_scalar(x) for x in v) for v in self.vertices)
         facets = tuple((tuple(n), norm_scalar(c)) for n, c in self.facets)
+        eqs = tuple((tuple(n), norm_scalar(c)) for n, c in self.equalities)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "facets", facets)
+        object.__setattr__(self, "equalities", eqs)
+        for n, _ in eqs:
+            if not any(n):
+                raise GeometryError("equality normal must be nonzero")
+            if any(not isinstance(x, int) for x in n):
+                raise GeometryError("equality normal must be integral")
+            if math.gcd(*n) != 1:
+                raise GeometryError("equality normal must be primitive")
+            if _lex_sign(n) < 0:
+                raise GeometryError("equality normal must have positive leading entry")
         if not verts:
             raise GeometryError("a polytope needs at least one vertex")
         if any(len(v) != self.ambient_dim for v in verts):
@@ -238,7 +233,7 @@ def _validate_points(points) -> list[Vec]:
     return pts
 
 
-def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Hyperplane, ...]]:
+def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Constraint, ...]]:
     """One greedy pass over a point set for its affine hull and a starting simplex.
 
     The points are scaled by the lcm L of their denominators to integers, and
@@ -265,19 +260,14 @@ def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Hyperp
             rows.append((next(c for c, x in enumerate(e) if x), [x // g for x in e]))
             simplex.append(i)
     red, _ = _echelon(nullspace([row for _, row in rows], n))
-    eqs = sorted((Hyperplane(tuple(row), dot(row, pts[0])) for row in red), key=lambda h: h.normal)
+    eqs = sorted((tuple(row), norm_scalar(dot(row, pts[0]))) for row in red)
     return scale, ipts, simplex, tuple(eqs)
 
 
-def affine_hull(points) -> tuple[int, tuple[Hyperplane, ...]]:
-    """Dimension and canonical cutting hyperplanes of the affine hull, whatever the input order."""
+def affine_hull(points) -> tuple[int, tuple[Constraint, ...]]:
+    """Dimension and canonical equalities (u, c), u.x = c, of the affine hull, whatever the input order."""
     _, _, simplex, eqs = _simplex(_validate_points(points))
     return len(simplex) - 1, eqs
-
-
-def dimension(points) -> int:
-    """Affine dimension of a finite rational point set."""
-    return affine_hull(points)[0]
 
 
 def _beneath_beyond(
@@ -375,7 +365,7 @@ def convex_hull(points) -> DualDescription:
     scale, ipts, simplex, eqs = _simplex(cand)
     if len(simplex) == 1:
         return DualDescription(n, 0, (cand[0],), (), eqs)
-    boundary = _beneath_beyond(ipts, simplex, [h.normal for h in eqs])
+    boundary = _beneath_beyond(ipts, simplex, [u for u, _ in eqs])
     bits: dict[IntVec, int] = {}  # one bit per merged facet
     masks: defaultdict[int, int] = defaultdict(int)  # corner -> its facets
     for corners, (normal, _) in boundary.items():
@@ -393,8 +383,8 @@ def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:
         raise DimensionMismatch(
             f"point has length {len(x)}, polytope lives in dimension {desc.ambient_dim}"
         )
-    for h in desc.equalities:
-        if dot(h.normal, x) != h.offset:
+    for normal, c in desc.equalities:
+        if dot(normal, x) != c:
             return False
     if mode is Mode.CLOSED:
         return all(dot(normal, x) <= c for normal, c in desc.facets)
@@ -405,7 +395,7 @@ def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:
 # edges of a polytope given by its vertices and (possibly redundant) constraints
 
 
-def _tight_masks(verts: tuple[Vec, ...], cons: tuple[Facet, ...]) -> list[int]:
+def _tight_masks(verts: tuple[Vec, ...], cons: tuple[Constraint, ...]) -> list[int]:
     masks = []
     for v in verts:
         m = 0

@@ -29,7 +29,6 @@ from .geometry import (
     DimensionMismatch,
     DualDescription,
     GeometryError,
-    Hyperplane,
     IntVec,
     Mode,
     _piece_edges,
@@ -54,10 +53,9 @@ class LatticePolytope:
     @classmethod
     def _trusted(cls, ambient_dim: int, dim: int, vertices, facets, equalities) -> LatticePolytope:
         """A description the library derived from a canonical lattice one, in ints: vertices sorted,
-        (normal, offset) facets sorted, and the (normal, offset) pairs of canonical equalities sorted
-        by normal; no re-check."""
-        eqs = tuple(_bare(Hyperplane, normal=u, offset=c) for u, c in equalities)
-        fields = dict(ambient_dim=ambient_dim, dim=dim, vertices=vertices, facets=facets, equalities=eqs)
+        (normal, offset) facets sorted, and the (normal, offset) pairs of canonical equalities sorted;
+        no re-check."""
+        fields = dict(ambient_dim=ambient_dim, dim=dim, vertices=vertices, facets=facets, equalities=equalities)
         return _bare(cls, desc=_bare(DualDescription, **fields))
 
     @property
@@ -158,7 +156,7 @@ def translate(P: LatticePolytope, v) -> LatticePolytope:
         d.dim,
         tuple(tuple(map(add, p, v)) for p in d.vertices),
         tuple((u, c + dot(u, v)) for u, c in d.facets),
-        tuple((h.normal, h.offset + dot(h.normal, v)) for h in d.equalities),
+        tuple((u, c + dot(u, v)) for u, c in d.equalities),
     )
 
 
@@ -182,7 +180,7 @@ def dilate(P: LatticePolytope, factor: int) -> LatticePolytope:
         d.dim,
         tuple(tuple(x * factor for x in v) for v in d.vertices),
         tuple((u, c * factor) for u, c in d.facets),
-        tuple((h.normal, h.offset * factor) for h in d.equalities),
+        tuple((u, c * factor) for u, c in d.equalities),
     )
 
 
@@ -205,7 +203,7 @@ def _sum_template(bases: tuple) -> tuple:
     for u, c in hull.facets:
         J = next(J for v, J in zip(hull.vertices, corners) if dot(u, v) == c)
         facets.append((u, tuple(dot(u, B[j]) for B, j in zip(bases, J))))
-    eqs = tuple((h.normal, tuple(dot(h.normal, B[0]) for B in bases)) for h in hull.equalities)
+    eqs = tuple((u, tuple(dot(u, B[0]) for B in bases)) for u, _ in hull.equalities)
     return hull.dim, corners, tuple(facets), eqs
 
 
@@ -274,8 +272,8 @@ def _level_rows(desc: DualDescription, k: int) -> tuple:
     """The rows u.x <= c of desc with u_k != 0 (an equality gives two), as
     (u_0..u_{k-1}, |u_k|, c, is_facet, side), side 1 iff u_k < 0."""
     rows = [(u, c, 1) for u, c in desc.facets]
-    for h in desc.equalities:
-        rows += [(h.normal, h.offset, 0), (tuple(-x for x in h.normal), -h.offset, 0)]
+    for u, c in desc.equalities:
+        rows += [(u, c, 0), (tuple(-x for x in u), -c, 0)]
     return tuple((u[:k], abs(u[k]), c, f, int(u[k] < 0)) for u, c, f in rows if u[k])
 
 

@@ -22,6 +22,7 @@ from .polytope import (
 )
 from .properties import (
     Verdict,
+    _level_scan,
     is_idp,
     is_tuple_idp,
     level_index,
@@ -80,18 +81,19 @@ def _example_1_9(h: int, n: int) -> CampaignReport:
     inputs = (P1.vertices, P2.vertices)
 
     M = minkowski_sum([P1, P2])
-    r = level_index(M).index_r
+    repM = level_status(M)
+    r = repM.degrees_checked[0]
     if r != 1:
         violations.append(Violation(0, inputs, f"Minkowski sum level index {r}, expected 1"))
-    repM = level_status(M)
     if repM.verdict is Verdict.FAILS:
         violations.append(Violation(0, inputs, "Minkowski sum not level", repM))
     else:
         notes.append(f"Minkowski sum level verified to horizon {repM.horizon_used}")
 
     C = cayley_sum([P1, P2])
-    rc = level_index(C).index_r
-    repC = level_status(C, rc + 10)
+    dataC = level_index(C)
+    rc = dataC.index_r
+    repC = _level_scan(C, dataC, rc + 10)
     if repC.verdict is not Verdict.FAILS:
         # Sweeping h, n <= 3 shows failures exactly when the second segment
         # is non-primitive; its lattice length is gcd(1+h, 1+nh).

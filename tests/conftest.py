@@ -5,11 +5,12 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from latcayley import from_vertices, load_polytope
-from latcayley.geometry import GeometryError, Hyperplane, _echelon, norm_scalar
+from latcayley.geometry import GeometryError, IntVec, Scalar, _echelon, norm_scalar
 from latcayley.polytope import _ENUMERATION_CACHES
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -43,14 +44,22 @@ def primitive(v):
     return tuple(x // g for x in ints)
 
 
-def hyperplane_through(normal, offset) -> Hyperplane:
-    """The canonical Hyperplane {x : normal . x = offset} of any rational pair."""
+class Plane(NamedTuple):
+    """The hyperplane {x : normal . x = offset}, equal to the library's (normal, offset) pair."""
+
+    normal: IntVec
+    offset: Scalar
+
+
+def hyperplane_through(normal, offset) -> Plane:
+    """The canonical Plane {x : normal . x = offset} of any rational pair: primitive
+    normal with positive leading entry, as a DualDescription's equalities have."""
     prim = primitive(normal)
     lead = next(i for i, x in enumerate(prim) if x)
     scale = Fraction(prim[lead]) / Fraction(normal[lead])  # prim = scale * normal, scale > 0
     if prim[lead] < 0:
         prim, scale = tuple(-x for x in prim), -scale
-    return Hyperplane(prim, Fraction(offset) * scale)
+    return Plane(prim, norm_scalar(Fraction(offset) * scale))
 
 
 def barycenter(points):

@@ -50,7 +50,6 @@ from latcayley.covering import (
 from latcayley.geometry import (
     CELL_BUDGET_ENV,
     DualDescription,
-    Hyperplane,
     Mode,
     Vec,
     _piece_edges,
@@ -63,7 +62,7 @@ from latcayley.geometry import (
     vec_sub,
 )
 
-from conftest import barycenter, hyperplane_through, rank, run_optimized
+from conftest import Plane, barycenter, hyperplane_through, rank, run_optimized
 
 
 def P(*verts):
@@ -113,7 +112,7 @@ def _faces(desc: DualDescription) -> list[frozenset[int]]:
     return list(seen)
 
 
-def _split(desc: DualDescription, h: Hyperplane) -> list[DualDescription]:
+def _split(desc: DualDescription, h: Plane) -> list[DualDescription]:
     """The parts of a polytope on the two sides of a hyperplane it crosses,
     each the hull of the vertices on that side and the crossing point of every
     pair of vertices strictly on opposite sides; the polytope itself when the
@@ -148,7 +147,7 @@ def arrangement_sample_points(hyperplanes, within: DualDescription) -> list[Vec]
     """
     if not within.vertices:
         raise GeometryError("within must be a bounded nonempty polytope")
-    planes: dict[Hyperplane, None] = {}
+    planes: dict[Plane, None] = {}
     for h in hyperplanes:
         if len(h.normal) != within.ambient_dim:
             raise DimensionMismatch("hyperplane ambient dimension disagrees with within")
@@ -191,12 +190,12 @@ def covers_by_sampling(q: CoverageQuery) -> PropertyReport:
     up front when the worst-case cell count exceeds the configured budget.
     """
     target = q.target.desc
-    planes: dict[Hyperplane, None] = {}
+    planes: dict[Plane, None] = {}
     for t in q.translations:
         desc = translate(q.translate_base, t).desc
         for normal, c in desc.facets:
             planes[hyperplane_through(normal, c)] = None
-        planes.update(dict.fromkeys(desc.equalities))
+        planes.update(dict.fromkeys(Plane(*e) for e in desc.equalities))
     budget = cell_budget()
     k = len(planes) + len(target.facets)
     est = sum(math.comb(k, i) for i in range(min(target.dim, k) + 1))
@@ -285,7 +284,7 @@ def test_arrangement_samples_hit_every_membership_pattern():
     # one vertical plane splitting a square: expect samples on both sides
     # and on the plane itself
     box = convex_hull([(0, 0), (2, 0), (0, 2), (2, 2)])
-    plane = Hyperplane(normal=(1, 0), offset=1)
+    plane = Plane(normal=(1, 0), offset=1)
     samples = arrangement_sample_points([plane], box)
     signs = {
         (dot(plane.normal, s) > plane.offset) - (dot(plane.normal, s) < plane.offset)
@@ -298,7 +297,7 @@ def test_arrangement_samples_hit_every_membership_pattern():
 
 def test_arrangement_samples_within_lower_dimensional_region():
     seg = convex_hull([(0, 0), (4, 0)])
-    plane = Hyperplane(normal=(1, 0), offset=2)
+    plane = Plane(normal=(1, 0), offset=2)
     samples = arrangement_sample_points([plane], seg)
     assert any(dot(plane.normal, s) < 2 for s in samples)
     assert any(dot(plane.normal, s) == 2 for s in samples)

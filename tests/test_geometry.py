@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from latcayley import (
     DualDescription,
     GeometryError,
-    Hyperplane,
     convex_hull,
     contains,
     from_vertices,
@@ -32,7 +31,7 @@ from latcayley.geometry import (
     vec_sub,
 )
 
-from conftest import hyperplane_through, primitive, rank
+from conftest import Plane, hyperplane_through, primitive, rank
 
 
 def test_norm_scalar_collapses_integral_fractions():
@@ -51,11 +50,22 @@ def test_primitive_divides_out_gcd_and_keeps_sign():
 
 def test_hyperplane_canonical_sign():
     h = hyperplane_through((-2, 0), Fraction(-3, 1))
-    assert h == Hyperplane(normal=(1, 0), offset=Fraction(3, 2))
+    assert h == Plane(normal=(1, 0), offset=Fraction(3, 2))
     # opposite orientations of the same plane canonicalize identically
     assert hyperplane_through((4, 0), 6) == h
-    with pytest.raises(GeometryError):
-        Hyperplane((0, 0), 1)
+
+
+def test_dual_description_canonicalizes_and_checks_equalities():
+    hull = convex_hull([(1, 0), (2, 2)])
+    assert hull.equalities == (((2, -1), 2),)
+    d = DualDescription(2, 1, hull.vertices, hull.facets, [([2, -1], Fraction(2, 1))])
+    assert d == hull
+    ((u, c),) = d.equalities
+    assert type(u) is tuple and type(c) is int
+    # zero, empty, non-integral, non-primitive and negatively led normals
+    for normal in [(0, 0), (), (Fraction(1, 2), 1), (2, -4), (-2, 1)]:
+        with pytest.raises(GeometryError):
+            DualDescription(2, 1, hull.vertices, hull.facets, [(normal, 1)])
 
 
 def test_hull_unit_square():
@@ -75,7 +85,7 @@ def test_hull_segment_has_equality():
     # conv{(0,0),(1,2)} lives on 2x - y = 0
     d = convex_hull([(0, 0), (1, 2)])
     assert d.dim == 1
-    assert d.equalities == (Hyperplane(normal=(2, -1), offset=0),)
+    assert d.equalities == (((2, -1), 0),)
 
 
 def test_hull_single_point():
@@ -88,8 +98,8 @@ def _check_dual_description(d: DualDescription):
     for v in d.vertices:
         for normal, offset in d.facets:
             assert dot(normal, v) <= offset
-        for h in d.equalities:
-            assert dot(h.normal, v) == h.offset
+        for normal, offset in d.equalities:
+            assert dot(normal, v) == offset
     for normal, offset in d.facets:
         tight = [v for v in d.vertices if dot(normal, v) == offset]
         assert tight, "facet not supported by any vertex"
@@ -333,7 +343,7 @@ def _assert_boundary_normals_are_kernel_vectors(cand):
     _, ipts, simplex, eqs = _simplex(cand)
     if len(simplex) == 1:
         return
-    eq_normals = [h.normal for h in eqs]
+    eq_normals = [u for u, _ in eqs]
     boundary = _beneath_beyond(ipts, simplex, eq_normals)
     dim = len(simplex) - 1
     inner = [sum(c) for c in zip(*(ipts[i] for i in simplex))]
@@ -410,7 +420,10 @@ def _affine_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_affine_inputs())
 def test_affine_hull_matches_rref_reference(pts):
-    assert affine_hull(pts) == _reference_affine_hull(pts)
+    dim, eqs = affine_hull(pts)
+    assert (dim, eqs) == _reference_affine_hull(pts)
+    # canonical offsets: an integral one is an int, as the public DualDescription makes it
+    assert all(type(c) is int or c.denominator > 1 for _, c in eqs)
 
 
 def test_is_integer_vec_rejects_bool():

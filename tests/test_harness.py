@@ -18,6 +18,7 @@ from latcayley import (
     PropertyReport,
     Verdict,
     dilate,
+    level_index,
     load_polytope,
     minkowski_sum,
     random_lattice_polytope,
@@ -25,7 +26,7 @@ from latcayley import (
     save_polytope,
     verify_theorem,
 )
-from latcayley import campaigns
+from latcayley import campaigns, properties
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, main
 from latcayley.geometry import CELL_BUDGET_ENV
@@ -168,18 +169,26 @@ def test_quantifier_truncations_are_noted():
     assert any("dilation bound" in n for n in rep.notes)
 
 
-def _stand_in(name, passes=None):
+def _stand_in(name, passes=None, index=None):
     """A stand-in for the decider ``campaigns.<name>``: it refutes its input,
     with the input's vertex lists as the witness, unless ``passes`` maps the
-    input's ambient dimension to a passing verdict."""
+    input's ambient dimension to a passing verdict; a passing report checks
+    the degrees from ``index`` to the horizon when an index is given."""
     def decide(P, *horizon):
         Ps = P if isinstance(P, list) else [P]
         h = horizon[0] if horizon else None
         verdict = (passes or {}).get(Ps[0].ambient_dim)
         if verdict is not None:
-            return PropertyReport(name, verdict, horizon_used=h)
+            return PropertyReport(name, verdict, degrees_checked=None if index is None else (index, h), horizon_used=h)
         return PropertyReport(name, Verdict.FAILS, tuple(Q.vertices for Q in Ps), horizon_used=h)
     return decide
+
+
+def _scan_stand_in():
+    """A stand-in for ``campaigns._level_scan``, which takes the level index
+    data before the horizon; it reports as ``level_status``, whose scan it is."""
+    decide = _stand_in("level_status")
+    return lambda P, data, horizon: decide(P, horizon)
 
 
 def _index(r):
@@ -195,7 +204,7 @@ def _campaign_stand_ins(theorem_id) -> dict:
     their Minkowski sums lie in ambient dimension 2, the Cayley sum of two
     of them in dimension 4.
     """
-    level = {"level_index": _index(7), "level_status": _stand_in("level_status")}
+    level = {"level_index": _index(7), "_level_scan": _scan_stand_in()}
     return {
         "thm_0_1": {"is_idp": _stand_in("is_idp"), **level},
         "lemma_1_1": {"cayley_slice": lambda C, a: PointSet(C.ambient_dim, ())},
@@ -209,7 +218,7 @@ def _campaign_stand_ins(theorem_id) -> dict:
         "lemma_3_3": {"has_interior_translate_cover": _stand_in("has_interior_translate_cover")},
         "cor_3_4": level,
         "bn_gorenstein": {
-            "is_gorenstein": _stand_in("is_gorenstein", passes={2: Verdict.VERIFIED_UP_TO_HORIZON}),
+            "is_gorenstein": _stand_in("is_gorenstein", passes={2: Verdict.VERIFIED_UP_TO_HORIZON}, index=1),
             "level_index": _index(1),
         },
         "hnp_polygon_pair": {"is_tuple_idp": _stand_in("is_tuple_idp")},
@@ -234,6 +243,21 @@ def test_campaign_violation_records_are_pinned(theorem_id, monkeypatch):
     expected = read_json(CAMPAIGN_VIOLATIONS)[theorem_id]
     assert expected, "every campaign's stand-ins must produce a violation"
     assert campaign_violations(theorem_id, monkeypatch) == expected
+
+
+def test_level_checks_compute_each_level_index_once(monkeypatch):
+    # a cor_3_4 trial checks two sums; each check reads its index, its
+    # horizon and its scan off one level_index call
+    calls = []
+
+    def counting(P):
+        calls.append(P)
+        return level_index(P)
+
+    monkeypatch.setattr(campaigns, "level_index", counting)
+    monkeypatch.setattr(properties, "level_index", counting)
+    assert verify_theorem(CampaignConfig("cor_3_4", trials=1, seed=0)).ok
+    assert len(calls) == 2 and calls[0] != calls[1]
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +489,28 @@ def without_timestamp(doc):
     return {k: v for k, v in doc.items() if k != "timestamp"}
 
 
-def load_golden_script():
+SCRIPTS = FIXTURES.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import scripts/<name>.py by path; its ``__main__`` block does not run."""
     import importlib.util
 
-    path = FIXTURES.parent / "scripts" / "make_golden.py"
-    spec = importlib.util.spec_from_file_location("make_golden", path)
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCRIPTS.glob("*.py")))
+def test_every_script_imports(name):
+    # a script importing a name the library no longer has fails here
+    assert load_script(name).__doc__
+
+
 @pytest.mark.parametrize("golden_name", sorted(p.name for p in GOLDEN.glob("*.json")))
 def test_cli_reports_match_golden(tmp_path, monkeypatch, capsys, golden_name):
-    mg = load_golden_script()
+    mg = load_script("make_golden")
     monkeypatch.chdir(FIXTURES.parent)
     out = tmp_path / "report.json"
     main(mg.CASES[golden_name] + ["--format", "json", "--out", str(out)])
@@ -488,7 +521,7 @@ def test_cli_reports_match_golden(tmp_path, monkeypatch, capsys, golden_name):
 
 
 def test_goldens_cover_every_check_property():
-    cases = load_golden_script().CASES.values()
+    cases = load_script("make_golden").CASES.values()
     pinned = {argv[argv.index("--property") + 1] for argv in cases if argv[0] == "check"}
     assert pinned == set(CHECKS)
 

@@ -13,7 +13,6 @@ from latcayley import (
     CellBudgetExceeded,
     DimensionMismatch,
     GeometryError,
-    Hyperplane,
     LatticePolytope,
     PointSet,
     cayley_slice,
@@ -31,7 +30,7 @@ from latcayley import (
 from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, contains, dot
 from latcayley.polytope import _projection_rows, _sum_template
 
-from conftest import seg
+from conftest import Plane, seg
 
 
 def P(*verts):
@@ -367,8 +366,7 @@ def test_minkowski_sums_of_dilates_match_the_hull_of_vertex_sums(case):
 
 def _rebuilt(Q):
     d = Q.desc
-    eqs = tuple(Hyperplane(h.normal, h.offset) for h in d.equalities)
-    return LatticePolytope(DualDescription(d.ambient_dim, d.dim, d.vertices, d.facets, eqs))
+    return LatticePolytope(DualDescription(d.ambient_dim, d.dim, d.vertices, d.facets, d.equalities))
 
 
 @settings(max_examples=40, deadline=None)
@@ -381,8 +379,11 @@ def test_trusted_dilates_and_sums_are_what_the_public_constructors_build(case):
         assert Q == _rebuilt(Q) and hash(Q) == hash(_rebuilt(Q))
         d = Q.desc
         assert list(d.vertices) == sorted(d.vertices) and list(d.facets) == sorted(d.facets)
-        offsets = [c for _, c in d.facets] + [h.offset for h in d.equalities]
-        assert all(type(x) is int for x in [*(x for v in d.vertices for x in v), *offsets])
+        assert list(d.equalities) == sorted(d.equalities)
+        # Fraction(2, 1) == 2, so only the types tell an int description from one left un-normalized
+        cons = (*d.facets, *d.equalities)
+        assert all(type(e) is tuple and type(e[0]) is tuple for e in cons)
+        assert all(type(x) is int for x in [*(x for v in d.vertices for x in v), *(x for u, c in cons for x in (*u, c))])
 
 
 def test_cayley_sum_of_two_segments_heights_leading():
@@ -391,7 +392,7 @@ def test_cayley_sum_of_two_segments_heights_leading():
     assert C.dim == 3
     assert C.vertices == ((0, 1, -1, -1), (0, 1, 1, 1), (1, 0, 0, 1), (1, 0, 1, 0))
     # the height block is pinned to the standard basis
-    assert Hyperplane(normal=(1, 1, 0, 0), offset=1) in C.desc.equalities
+    assert Plane(normal=(1, 1, 0, 0), offset=1) in C.desc.equalities
 
 
 def test_cayley_sum_example_pair():
