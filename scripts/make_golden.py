@@ -11,56 +11,35 @@ import os
 import tempfile
 from pathlib import Path
 
-from latcayley.cli import main
+from latcayley.cli import CHECKS, main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
+# cli.CHECKS property -> (golden label, the fixtures it is checked on); a
+# property missing here stops this module at import
+CHECK_FIXTURES = {
+    "idp": ("unit_square", ["unit_square"]),
+    "tuple-idp": ("ex24", ["ex24_p1", "ex24_p2"]),
+    "2cn": ("reeve", ["reeve"]),
+    "cond01": ("simplex_2d", ["simplex_2d"]),
+    "level": ("ex19_cayley", ["ex19_cayley"]),
+    "gorenstein": ("double_simplex_2d", ["double_simplex_2d"]),
+    "edge-criterion": ("simplex_2d", ["simplex_2d"]),
+}
+
 # paths are relative to the repo root so the stored reports stay portable
 CASES = {
-    "check_idp_unit_square.json": [
+    f"check_{prop.replace('-', '_')}_{label}.json": [
         "check",
         "--property",
-        "idp",
-        "fixtures/unit_square.json",
-    ],
-    "check_level_ex19_cayley.json": [
-        "check",
-        "--property",
-        "level",
-        "fixtures/ex19_cayley.json",
-    ],
-    "check_2cn_reeve.json": [
-        "check",
-        "--property",
-        "2cn",
-        "fixtures/reeve.json",
-    ],
-    "check_edge_criterion_simplex_2d.json": [
-        "check",
-        "--property",
-        "edge-criterion",
-        "fixtures/simplex_2d.json",
-    ],
-    "check_tuple_idp_ex24.json": [
-        "check",
-        "--property",
-        "tuple-idp",
-        "fixtures/ex24_p1.json",
-        "fixtures/ex24_p2.json",
-    ],
-    "check_cond01_simplex_2d.json": [
-        "check",
-        "--property",
-        "cond01",
-        "fixtures/simplex_2d.json",
-    ],
-    "check_gorenstein_double_simplex_2d.json": [
-        "check",
-        "--property",
-        "gorenstein",
-        "fixtures/double_simplex_2d.json",
-    ],
+        prop,
+        *(f"fixtures/{name}.json" for name in names),
+    ]
+    for prop in CHECKS
+    for label, names in [CHECK_FIXTURES[prop]]
+}
+CASES.update({
     "reproduce_example_1_9_3_1.json": [
         "reproduce",
         "example_1_9",
@@ -82,7 +61,7 @@ CASES = {
         "--dilation-bound",
         "2",
     ],
-}
+})
 
 
 def _without_timestamp(path: Path) -> dict:

@@ -22,7 +22,6 @@ from .polytope import (
 )
 from .properties import (
     Verdict,
-    _level_scan,
     is_idp,
     is_tuple_idp,
     level_index,
@@ -91,22 +90,20 @@ def _example_1_9(h: int, n: int) -> CampaignReport:
         notes.append(f"Minkowski sum level verified to horizon {repM.horizon_used}")
 
     C = cayley_sum([P1, P2])
-    dataC = level_index(C)
-    rc = dataC.index_r
-    repC = _level_scan(C, dataC, rc + 10)
+    repC = level_status(C, level_index(C).index_r + 10)
     if repC.verdict is not Verdict.FAILS:
         # Sweeping h, n <= 3 shows failures exactly when the second segment
         # is non-primitive; its lattice length is gcd(1+h, 1+nh).
         seg_len = math.gcd(1 + h, 1 + n * h)
         if seg_len == 1:
             note = (
-                f"no level violation for the Cayley sum up to horizon {rc + 10}; "
+                f"no level violation for the Cayley sum up to horizon {repC.horizon_used}; "
                 "the second segment is primitive (lattice length 1), and the "
                 "observed failing members all have lattice length >= 2"
             )
         else:
             note = (
-                f"no level violation for the Cayley sum up to horizon {rc + 10}; "
+                f"no level violation for the Cayley sum up to horizon {repC.horizon_used}; "
                 "widen the search"
             )
         violations.append(Violation(0, inputs, note))

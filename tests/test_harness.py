@@ -12,7 +12,6 @@ import pytest
 from latcayley import (
     CampaignConfig,
     GeometryError,
-    LevelData,
     PointSet,
     PolytopeFileError,
     PropertyReport,
@@ -172,28 +171,16 @@ def test_quantifier_truncations_are_noted():
 def _stand_in(name, passes=None, index=None):
     """A stand-in for the decider ``campaigns.<name>``: it refutes its input,
     with the input's vertex lists as the witness, unless ``passes`` maps the
-    input's ambient dimension to a passing verdict; a passing report checks
-    the degrees from ``index`` to the horizon when an index is given."""
+    input's ambient dimension to a passing verdict; its report checks the
+    degrees from ``index`` to the horizon when an index is given."""
     def decide(P, *horizon):
         Ps = P if isinstance(P, list) else [P]
         h = horizon[0] if horizon else None
-        verdict = (passes or {}).get(Ps[0].ambient_dim)
-        if verdict is not None:
-            return PropertyReport(name, verdict, degrees_checked=None if index is None else (index, h), horizon_used=h)
-        return PropertyReport(name, Verdict.FAILS, tuple(Q.vertices for Q in Ps), horizon_used=h)
+        degrees = None if index is None else (index, h)
+        verdict = (passes or {}).get(Ps[0].ambient_dim, Verdict.FAILS)
+        witness = tuple(Q.vertices for Q in Ps) if verdict is Verdict.FAILS else None
+        return PropertyReport(name, verdict, witness, degrees, h)
     return decide
-
-
-def _scan_stand_in():
-    """A stand-in for ``campaigns._level_scan``, which takes the level index
-    data before the horizon; it reports as ``level_status``, whose scan it is."""
-    decide = _stand_in("level_status")
-    return lambda P, data, horizon: decide(P, horizon)
-
-
-def _index(r):
-    """A stand-in for ``level_index`` that reports index r for every input."""
-    return lambda P: LevelData(r, PointSet(P.ambient_dim, ((0,) * P.ambient_dim,)))
 
 
 def _campaign_stand_ins(theorem_id) -> dict:
@@ -204,7 +191,7 @@ def _campaign_stand_ins(theorem_id) -> dict:
     their Minkowski sums lie in ambient dimension 2, the Cayley sum of two
     of them in dimension 4.
     """
-    level = {"level_index": _index(7), "_level_scan": _scan_stand_in()}
+    level = {"level_status": _stand_in("level_status", index=7)}
     return {
         "thm_0_1": {"is_idp": _stand_in("is_idp"), **level},
         "lemma_1_1": {"cayley_slice": lambda C, a: PointSet(C.ambient_dim, ())},
@@ -219,7 +206,6 @@ def _campaign_stand_ins(theorem_id) -> dict:
         "cor_3_4": level,
         "bn_gorenstein": {
             "is_gorenstein": _stand_in("is_gorenstein", passes={2: Verdict.VERIFIED_UP_TO_HORIZON}, index=1),
-            "level_index": _index(1),
         },
         "hnp_polygon_pair": {"is_tuple_idp": _stand_in("is_tuple_idp")},
     }[theorem_id]
@@ -245,19 +231,26 @@ def test_campaign_violation_records_are_pinned(theorem_id, monkeypatch):
     assert campaign_violations(theorem_id, monkeypatch) == expected
 
 
-def test_level_checks_compute_each_level_index_once(monkeypatch):
-    # a cor_3_4 trial checks two sums; each check reads its index, its
-    # horizon and its scan off one level_index call
+# polytopes one trial at seed 0 checks for levelness: the two sums of
+# cor_3_4 and bn_gorenstein, the one interior-cover polygon of prop_3_1
+LEVEL_CHECKS = {"cor_3_4": 2, "prop_3_1": 1, "bn_gorenstein": 2}
+
+
+@pytest.mark.parametrize("theorem_id", LEVEL_CHECKS)
+def test_level_checks_compute_each_level_index_once(theorem_id, monkeypatch):
+    # each checked polytope's index and scan come from one level_status call,
+    # which computes its level index once; campaigns is patched too, so a call
+    # through a binding of its own would also count
     calls = []
 
     def counting(P):
         calls.append(P)
         return level_index(P)
 
-    monkeypatch.setattr(campaigns, "level_index", counting)
     monkeypatch.setattr(properties, "level_index", counting)
-    assert verify_theorem(CampaignConfig("cor_3_4", trials=1, seed=0)).ok
-    assert len(calls) == 2 and calls[0] != calls[1]
+    monkeypatch.setattr(campaigns, "level_index", counting, raising=False)
+    assert verify_theorem(CampaignConfig(theorem_id, trials=1, seed=0)).ok
+    assert len(calls) == len(set(calls)) == LEVEL_CHECKS[theorem_id]
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +573,22 @@ def test_no_unused_imports():
                 used.update(e.value for e in node.value.elts)
         unused += [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_private_names_cross_modules_only_from_geometry():
+    # a library module imports another's _-prefixed name only for the two
+    # face helpers geometry shares with polytope and covering
+    allowed = {("geometry", "_piece_edges"), ("geometry", "_tight_masks")}
+    crossing = [
+        f"{path.name}:{node.lineno}: {node.module}.{a.name}"
+        for path in sorted((FIXTURES.parent / "src" / "latcayley").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+        if a.name.startswith("_") and not a.name.startswith("__")
+        and (node.module, a.name) not in allowed
+    ]
+    assert crossing == []
 
 
 def test_every_library_definition_is_used():

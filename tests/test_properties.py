@@ -298,7 +298,51 @@ def test_gorenstein_passes_level_failure_through():
 
 
 # ---------------------------------------------------------------------------
-# edge criterion
+# Ehrhart h* oracle: the level deciders against counts alone
+
+
+def h_star(Q):
+    """h*_0..h*_d of Q, from (1-t)^(d+1) * sum |nQ cap Z| t^n cut at degree d;
+    it needs only the point counts of 0Q..dQ."""
+    d = Q.dim
+    counts = [len(lattice_points(dilate(Q, n))) for n in range(d + 1)]
+    return [sum((-1) ** j * math.comb(d + 1, j) * counts[k - j] for j in range(k + 1)) for k in range(d + 1)]
+
+
+def h_star_corpus():
+    """60 polygons, 30 3-polytopes, and 20 Cayley sums of polygon or segment pairs."""
+    polygons = [random_lattice_polytope(seed, 2, 2, coord_bound=2) for seed in range(60)]
+    solids = [random_lattice_polytope(seed, 3, 3, coord_bound=2) for seed in range(30)]
+    cayleys = [
+        cayley_sum([random_lattice_polytope(2 * seed + k, 2, 1 + (seed >> k) % 2, coord_bound=1) for k in (0, 1)])
+        for seed in range(20)
+    ]
+    return polygons + solids + cayleys
+
+
+def test_level_deciders_match_the_ehrhart_h_star_oracle():
+    gorenstein = failures = 0
+    for Q in h_star_corpus():
+        d, h = Q.dim, h_star(Q)
+        s = max(k for k, c in enumerate(h) if c)
+        # reciprocity: |int(nQ) cap Z| = sum_k h*_k C(n+k-1, d)
+        for n in range(1, d + 2):
+            assert len(interior_lattice_points(dilate(Q, n))) == sum(
+                c * math.comb(n + k - 1, d) for k, c in enumerate(h)
+            ), (Q.vertices, n)
+        r = level_index(Q).index_r
+        assert r == d + 1 - s, Q.vertices
+        # Stanley: Gorenstein exactly when h* is palindromic
+        palindromic = h[: s + 1] == h[s::-1]
+        assert palindromic == (is_gorenstein(Q, d + 1).verdict is not Verdict.FAILS), Q.vertices
+        gorenstein += palindromic
+        # the d+1 bound: a scan well past it finds no failure above it
+        rep = level_status(Q, r + d + 4)
+        if rep.verdict is Verdict.FAILS:
+            failures += 1
+            assert rep.witness[0] <= d + 1, (Q.vertices, rep.witness)
+    assert gorenstein and failures
+
 
 
 def test_edge_criterion_threshold():
