@@ -51,7 +51,6 @@ class CampaignConfig:
     dim_max: int = 3
     coord_bound: int = 4
     dilation_bound: int = 3
-    horizon: int | None = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -75,7 +74,7 @@ class CampaignReport:
     theorem_id: str
     trials_run: int
     violations: tuple[Violation, ...]
-    config: CampaignConfig
+    config: CampaignConfig | None
     version: str = __version__
     notes: tuple[str, ...] = ()
 
@@ -96,7 +95,7 @@ class CampaignReport:
                 }
                 for v in self.violations
             ],
-            "config": asdict(self.config),
+            "config": None if self.config is None else asdict(self.config),
             "version": self.version,
             "notes": list(self.notes),
         }
@@ -132,17 +131,6 @@ def _poly2(rng: random.Random, config: CampaignConfig, dim: int | None = None) -
 
 def _poly(rng: random.Random, dim: int, bound: int) -> LatticePolytope:
     return random_lattice_polytope(_sub_seed(rng), dim, dim, bound)
-
-
-def _level_horizon(S: LatticePolytope, config: CampaignConfig) -> int:
-    """The configured horizon, else d+1 (d = dim S), where every level failure
-    shows.  The Ehrhart ring A(S) is normal, so Cohen-Macaulay (Hochster), and
-    finite over its degree-1 part, so it has a degree-1 system of parameters
-    over Q.  Its canonical module, spanned by the interior points of the cone
-    (Danilov-Stanley), is free over those parameters with basis degrees <= d+1.
-    So int(nS) = int(rS) + (n-r)S for every n <= d+1 gives it for every n.
-    """
-    return config.horizon if config.horizon is not None else S.dim + 1
 
 
 def _is_2cn(P: LatticePolytope) -> bool:
@@ -201,9 +189,10 @@ def _check_sum_idp(trial, out, Ps, what):
         )
 
 
-def _check_level(trial, out, inputs, S, r, what, config):
-    """S has level index r and is level up to ``_level_horizon``."""
-    rep = level_status(S, _level_horizon(S, config))
+def _check_level(trial, out, inputs, S, r, what):
+    """S has level index r and is level up to degree d+1 (d = dim S), where
+    every level failure shows: ``level_status``'s default horizon."""
+    rep = level_status(S)
     if rep.degrees_checked[0] != r:
         out.append(Violation(trial, inputs, f"{what} has level index != {r}"))
     if rep.verdict is Verdict.FAILS:
@@ -223,7 +212,7 @@ def _run_thm_0_1(rng, config, trial, out):
         if rep.verdict is not Verdict.HOLDS:
             out.append(Violation(trial, _verts(P), f"dilate by {n} not IDP", rep))
     if d <= 2:
-        _check_level(trial, out, _verts(P), dilate(P, d + 1), 1, f"dilate by {d+1}", config)
+        _check_level(trial, out, _verts(P), dilate(P, d + 1), 1, f"dilate by {d+1}")
 
 
 def _heights(m: int, top: int, positive: bool):
@@ -331,7 +320,7 @@ def _run_prop_3_1(rng, config, trial, out):
     if Ps is None:
         return
     (P,) = Ps
-    rep = level_status(P, _level_horizon(P, config))
+    rep = level_status(P)
     if rep.verdict is Verdict.FAILS:
         out.append(Violation(trial, _verts(P), "interior-cover polytope not level", rep))
 
@@ -339,8 +328,8 @@ def _run_prop_3_1(rng, config, trial, out):
 def _run_thm_3_2(rng, config, trial, out):
     Ps = _collect(rng, config, _has_interior_cover, lambda P: P.dim + 1, 2)
     if Ps is not None:
-        _check_level(trial, out, _verts(*Ps), minkowski_sum(Ps), 1, "Minkowski sum", config)
-        _check_level(trial, out, _verts(*Ps), cayley_sum(Ps), len(Ps), "Cayley sum", config)
+        _check_level(trial, out, _verts(*Ps), minkowski_sum(Ps), 1, "Minkowski sum")
+        _check_level(trial, out, _verts(*Ps), cayley_sum(Ps), len(Ps), "Cayley sum")
 
 
 def _run_lemma_3_3(rng, config, trial, out):
@@ -364,8 +353,8 @@ def _run_lemma_3_3(rng, config, trial, out):
 def _run_cor_3_4(rng, config, trial, out):
     Ps = [_poly2(rng, config) for _ in range(2)]
     Qs = [dilate(P, P.dim + 1 + rng.randint(0, 1)) for P in Ps]
-    _check_level(trial, out, _verts(*Qs), minkowski_sum(Qs), 1, "Minkowski sum of dilates", config)
-    _check_level(trial, out, _verts(*Qs), cayley_sum(Qs), len(Qs), "Cayley sum of dilates", config)
+    _check_level(trial, out, _verts(*Qs), minkowski_sum(Qs), 1, "Minkowski sum of dilates")
+    _check_level(trial, out, _verts(*Qs), cayley_sum(Qs), len(Qs), "Cayley sum of dilates")
 
 
 def _gorenstein_pair(rng) -> list[LatticePolytope]:
@@ -395,8 +384,8 @@ def _run_bn_gorenstein(rng, config, trial, out):
             return
     M = minkowski_sum(Ps)
     C = cayley_sum(Ps)
-    gM = is_gorenstein(M, _level_horizon(M, config))
-    gC = is_gorenstein(C, _level_horizon(C, config))
+    gM = is_gorenstein(M)
+    gC = is_gorenstein(C)
     mink_side = gM.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gM.degrees_checked[0] == 1
     cay_side = gC.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gC.degrees_checked[0] == 2
     if mink_side != cay_side:
@@ -428,11 +417,9 @@ def _run_hnp_polygon_pair(rng, config, trial, out):
         out.append(Violation(trial, _verts(P, Q), "fan-coarsening polygon pair not IDP", rep))
 
 
-_HORIZON_CAVEAT = "level checks verified up to a finite horizon, not unconditionally"
-
 # campaign id -> (runner, the caveat its report notes, or None)
 _CAMPAIGNS = {
-    "thm_0_1": (_run_thm_0_1, "level part verified up to a finite horizon, not unconditionally"),
+    "thm_0_1": (_run_thm_0_1, None),
     "lemma_1_1": (_run_lemma_1_1, "slice equality checked on integer height vectors with bounded total; "
                   "the real-valued statement is not mechanically checkable"),
     "lemma_1_2": (_run_lemma_1_2, "interior slice equality checked on positive integer height vectors with "
@@ -442,11 +429,11 @@ _CAMPAIGNS = {
     "thm_2_1": (_run_thm_2_1, None),
     "lemma_2_2": (_run_lemma_2_2, None),
     "cor_2_3": (_run_cor_2_3, None),
-    "prop_3_1": (_run_prop_3_1, _HORIZON_CAVEAT),
-    "thm_3_2": (_run_thm_3_2, _HORIZON_CAVEAT),
+    "prop_3_1": (_run_prop_3_1, None),
+    "thm_3_2": (_run_thm_3_2, None),
     "lemma_3_3": (_run_lemma_3_3, None),
-    "cor_3_4": (_run_cor_3_4, _HORIZON_CAVEAT),
-    "bn_gorenstein": (_run_bn_gorenstein, _HORIZON_CAVEAT),
+    "cor_3_4": (_run_cor_3_4, None),
+    "bn_gorenstein": (_run_bn_gorenstein, None),
     "hnp_polygon_pair": (_run_hnp_polygon_pair, None),
 }
 

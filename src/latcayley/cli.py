@@ -188,7 +188,6 @@ def _run_verify(args) -> int:
         dim_max=args.dim_max,
         coord_bound=args.coord_bound,
         dilation_bound=args.dilation_bound,
-        horizon=args.horizon,
     )
     rep = verify_theorem(config)
     _emit(args, rep.to_dict(), _campaign_lines(rep))
@@ -247,10 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("theorem_id", choices=THEOREM_IDS)
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--dim-max", type=int, default=3)
-    v.add_argument("--coord-bound", type=int, default=4)
-    v.add_argument("--dilation-bound", type=int, default=3)
-    v.add_argument("--horizon", type=int, default=None)
+    v.add_argument("--dim-max", type=int, default=CampaignConfig.dim_max)
+    v.add_argument("--coord-bound", type=int, default=CampaignConfig.coord_bound)
+    v.add_argument("--dilation-bound", type=int, default=CampaignConfig.dilation_bound)
     _add_io_flags(v)
     v.set_defaults(func=_run_verify)
 

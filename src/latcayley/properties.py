@@ -14,8 +14,9 @@ up to degree max(2, d-1) is a complete certificate, because the equality
 The level equality has the bound d+1: the interior points of the Ehrhart
 cone form the canonical module, which is generated in degrees <= d+1
 (Bruns-Herzog, Cohen-Macaulay Rings, ch. 6), so a level failure shows at
-some degree <= d+1.  Level and Gorenstein checks still report a clean scan
-as VerifiedUpToHorizon with the horizon they scanned, never Holds.
+some degree <= d+1, which is the default level horizon.  Level and
+Gorenstein checks still report a clean scan as VerifiedUpToHorizon with the
+horizon they scanned, never Holds.
 """
 
 from __future__ import annotations
@@ -252,15 +253,16 @@ def level_status(P: LatticePolytope, horizon: int | None = None) -> PropertyRepo
 
     With r the level index, levelness demands, for every n >= r,
     int(nP) cap Z = int(rP) cap Z + (n-r)P cap Z, with 0P = {0}.  A failure
-    shows at some degree n <= d+1 (see the module docstring), but a clean scan
-    is reported as VerifiedUpToHorizon with the horizon recorded, whatever
-    the horizon; the default is r + d + 2.  The report's degrees_checked
-    starts at r.  The containment of the sum in int(nP) is an identity,
-    asserted (not searched) in ``_first_missing`` like every decomposition.
+    shows at some degree n <= d+1 (see the module docstring), so the default
+    horizon is d+1, which is never below r; a clean scan is still reported as
+    VerifiedUpToHorizon with the horizon recorded, whatever the horizon.  The
+    report's degrees_checked starts at r, so a caller horizon below r is
+    refused.  The containment of the sum in int(nP) is an identity, asserted
+    (not searched) in ``_first_missing`` like every decomposition.
     """
     data = level_index(P)
     r = data.index_r
-    H = horizon if horizon is not None else r + P.dim + 2
+    H = horizon if horizon is not None else P.dim + 1
     if H < r:
         raise GeometryError("horizon must be at least the level index")
     gens = data.interior_generators
@@ -274,7 +276,8 @@ def level_status(P: LatticePolytope, horizon: int | None = None) -> PropertyRepo
 
 
 def is_gorenstein(P: LatticePolytope, horizon: int | None = None) -> PropertyReport:
-    """Level up to the horizon with a single interior generator.
+    """Level up to the horizon (by default d+1, as in ``level_status``) with a
+    single interior generator.
 
     A failure of levelness fails this check with the same witness; a level
     check that survives the horizon but has several generators fails with the

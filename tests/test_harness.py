@@ -25,9 +25,9 @@ from latcayley import (
     save_polytope,
     verify_theorem,
 )
-from latcayley import campaigns, properties
+from latcayley import campaigns, properties, reproduce
 from latcayley.campaigns import THEOREM_IDS
-from latcayley.cli import CHECKS, main
+from latcayley.cli import CHECKS, build_parser, main
 from latcayley.geometry import CELL_BUDGET_ENV
 from latcayley.reproduce import EXAMPLE_NAMES
 
@@ -162,20 +162,33 @@ def test_campaign_smoke(theorem_id):
     assert doc["config"]["seed"] == 0
 
 
-def test_quantifier_truncations_are_noted():
-    cfg = CampaignConfig("thm_0_4_equiv", trials=1, seed=0, dim_max=2, coord_bound=2)
-    rep = verify_theorem(cfg)
-    assert any("dilation bound" in n for n in rep.notes)
+# the campaigns that check a quantifier over an unbounded set on a finite box;
+# every level campaign scans to d+1, where its quantifier is complete
+TRUNCATED = {"lemma_1_1": "bounded total", "lemma_1_2": "bounded total", "thm_0_4_equiv": "dilation bound"}
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_quantifier_truncations_are_noted(theorem_id):
+    cfg = CampaignConfig(theorem_id, trials=1, seed=0, dim_max=2, coord_bound=2)
+    notes = verify_theorem(cfg).notes
+    if theorem_id in TRUNCATED:
+        assert len(notes) == 1 and TRUNCATED[theorem_id] in notes[0]
+    else:
+        assert notes == ()
 
 
 def _stand_in(name, passes=None, index=None):
     """A stand-in for the decider ``campaigns.<name>``: it refutes its input,
     with the input's vertex lists as the witness, unless ``passes`` maps the
     input's ambient dimension to a passing verdict; its report checks the
-    degrees from ``index`` to the horizon when an index is given."""
+    degrees from ``index`` to the horizon when an index is given.  With no
+    horizon passed, a level stand-in takes the level deciders' default, d+1."""
     def decide(P, *horizon):
         Ps = P if isinstance(P, list) else [P]
-        h = horizon[0] if horizon else None
+        if horizon:
+            h = horizon[0]
+        else:
+            h = P.dim + 1 if name in ("level_status", "is_gorenstein") else None
         degrees = None if index is None else (index, h)
         verdict = (passes or {}).get(Ps[0].ambient_dim, Verdict.FAILS)
         witness = tuple(Q.vertices for Q in Ps) if verdict is Verdict.FAILS else None
@@ -231,26 +244,30 @@ def test_campaign_violation_records_are_pinned(theorem_id, monkeypatch):
     assert campaign_violations(theorem_id, monkeypatch) == expected
 
 
-# polytopes one trial at seed 0 checks for levelness: the two sums of
-# cor_3_4 and bn_gorenstein, the one interior-cover polygon of prop_3_1
-LEVEL_CHECKS = {"cor_3_4": 2, "prop_3_1": 1, "bn_gorenstein": 2}
+# polytopes checked for levelness: by one trial at seed 0, the two sums of
+# cor_3_4 and bn_gorenstein and the one interior-cover polygon of prop_3_1;
+# by the example_1_9 reproduction at params (3, 1), its two sums
+LEVEL_CHECKS = {"cor_3_4": 2, "prop_3_1": 1, "bn_gorenstein": 2, "example_1_9": 2}
 
 
-@pytest.mark.parametrize("theorem_id", LEVEL_CHECKS)
-def test_level_checks_compute_each_level_index_once(theorem_id, monkeypatch):
+@pytest.mark.parametrize("case", LEVEL_CHECKS)
+def test_level_checks_compute_each_level_index_once(case, monkeypatch):
     # each checked polytope's index and scan come from one level_status call,
-    # which computes its level index once; campaigns is patched too, so a call
-    # through a binding of its own would also count
+    # which computes its level index once; campaigns and reproduce are patched
+    # too, so a call through a binding of their own would also count
     calls = []
 
     def counting(P):
         calls.append(P)
         return level_index(P)
 
-    monkeypatch.setattr(properties, "level_index", counting)
-    monkeypatch.setattr(campaigns, "level_index", counting, raising=False)
-    assert verify_theorem(CampaignConfig(theorem_id, trials=1, seed=0)).ok
-    assert len(calls) == len(set(calls)) == LEVEL_CHECKS[theorem_id]
+    for module in (properties, campaigns, reproduce):
+        monkeypatch.setattr(module, "level_index", counting, raising=module is properties)
+    if case in EXAMPLE_NAMES:
+        assert reproduce_example(case, (3, 1)).ok
+    else:
+        assert verify_theorem(CampaignConfig(case, trials=1, seed=0)).ok
+    assert len(calls) == len(set(calls)) == LEVEL_CHECKS[case]
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +493,21 @@ def test_cli_verify_and_reproduce_exit_codes(capsys):
     assert main(["reproduce", "example_1_9", "--params", "3", "1"]) == 0
     assert main(["reproduce", "example_1_9", "--params", "1", "2"]) == 1
     assert "primitive" in capsys.readouterr().out
+
+
+def test_cli_verify_defaults_are_the_campaign_defaults():
+    args = build_parser().parse_args(["verify", "thm_0_1"])
+    flags = ("trials", "seed", "dim_max", "coord_bound", "dilation_bound")
+    config = CampaignConfig(args.theorem_id, **{f: getattr(args, f) for f in flags})
+    assert config == CampaignConfig("thm_0_1", trials=10, seed=0)
+
+
+def test_cli_verify_takes_no_horizon(capsys):
+    # every level campaign scans to d+1, where its quantifier is complete
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm_0_1", "--horizon", "3"])
+    assert exc.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
 
 
 def without_timestamp(doc):

@@ -240,8 +240,8 @@ def test_level_index_bounded_by_dim_plus_one():
 def test_level_status_unit_square(unit_square):
     rep = level_status(unit_square)
     assert rep.verdict is Verdict.VERIFIED_UP_TO_HORIZON
-    assert rep.degrees_checked == (2, 6)
-    assert rep.horizon_used == 6
+    assert rep.degrees_checked == (2, 3)
+    assert rep.horizon_used == 3
 
 
 def test_level_status_never_claims_holds(unit_square, segment):
@@ -336,8 +336,11 @@ def test_level_deciders_match_the_ehrhart_h_star_oracle():
         palindromic = h[: s + 1] == h[s::-1]
         assert palindromic == (is_gorenstein(Q, d + 1).verdict is not Verdict.FAILS), Q.vertices
         gorenstein += palindromic
-        # the d+1 bound: a scan well past it finds no failure above it
+        # the d+1 bound: a scan well past it finds no failure above it, and
+        # the default scan, to d+1, reads the same
         rep = level_status(Q, r + d + 4)
+        default = level_status(Q)
+        assert (default.verdict, default.witness) == (rep.verdict, rep.witness), Q.vertices
         if rep.verdict is Verdict.FAILS:
             failures += 1
             assert rep.witness[0] <= d + 1, (Q.vertices, rep.witness)
