@@ -8,7 +8,11 @@ values on the rows are rounded (up in closed mode, down in the relative-
 interior one) and looked up, and the lowest remaining translate containing it
 is carved out of the piece along its facet halfspaces, one at a time.  That
 leaves closed branches whose union is exactly the piece minus the
-translate's region, so the decision is exact in both modes.  A piece is its
+translate's region, so the decision is exact in both modes.  A piece that
+one remaining translate already holds is skipped, not carved: its highest
+vertex value on each row is looked up in the same index (in the relative-
+interior mode one offset lower when the face reaching it lies in a target
+facet, as the search never needs a boundary point covered).  A piece is its
 vertices, as homogeneous integer vectors, with one incidence bitmask each,
 which every cut updates exactly, so its edges come from the combinatorial
 adjacency test of the double description method.  It is the only covering
@@ -237,11 +241,26 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     dimension test: ``_cut_piece`` splits a piece only when vertices lie
     strictly on both sides, so both parts keep its dimension, and closed mode
     only cuts, starting from the target.
+
+    Over ``scale = L`` vertex ``V = (w*x, w)`` takes the row value ``u.V *
+    (L / w) = L*(u.x)``.  Those values sum to ``u.num``; their maximum
+    ``top``, rounded as a barycenter value is but over ``L``, finds the
+    translates that hold the piece, or whose open region does.  In the open
+    mode a ``top`` divisible by ``L`` also admits the offset ``top / L`` when
+    the vertices reaching it share a target facet bit (cuts take higher bits):
+    the face they span lies in the target's boundary.  A piece that such a
+    translate ``T`` holds, or holds within relint(target), is skipped, and the
+    witness is kept: every descendant is carved from other translates, so
+    ``T`` stays in its ``remaining`` and covers each descendant barycenter
+    the search tests, which in the open mode lies in relint(target) as pieces
+    in a target facet are skipped first.  The depth-first order is otherwise
+    unchanged, and the budget still counts every popped piece.
     """
     target = q.target.desc
     normals, carve, offsets = _classify_translates(q)
     index = _row_index(offsets, len(normals))
     slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
+    facet_bits = (1 << len(target.facets)) - 1
     budget = cell_budget()
     start = _Piece(tuple((*v, 1) for v in target.vertices), tuple(_tight_masks(target.vertices, target.facets)))
     stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
@@ -260,11 +279,23 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
         # hyperplane contains it, iff its barycenter does
         if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, num) == c * den for u, c in target.facets):
             continue
-        hits = remaining
+        hits = whole = remaining
         for u, (levels, masks) in zip(normals, index):
-            hits &= masks[bisect_left(levels, (dot(u, num) - slack) // den + 1)] if hits else 0
+            vals = [dot(u, V) * (scale // V[-1]) for V in piece.vertices]  # L*(u.x) per vertex, L = scale
+            hits &= masks[bisect_left(levels, (sum(vals) - slack) // den + 1)]
+            if not whole:
+                continue
+            top = max(vals)
+            key = (top - slack) // scale + 1
+            if not slack and top % scale == 0 and reduce(
+                operator.and_, (m for m, v in zip(piece.masks, vals) if v == top)
+            ) & facet_bits:  # the top face lies in a target facet
+                key -= 1
+            whole &= masks[bisect_left(levels, key)]
         if not hits:
             return tuple(norm_scalar(Fraction(x, den)) for x in num)
+        if whole:
+            continue
         pick = hits & -hits
         for branch in reversed(_subtract_branches(piece, normals, carve, offsets[pick.bit_length() - 1], q.mode)):
             stack.append((branch, remaining ^ pick))
