@@ -18,7 +18,7 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dim-max", type=int, default=2)
     ap.add_argument("--coord-bound", type=int, default=3)
-    ap.add_argument("--dilation-bound", type=int, default=3)
+    ap.add_argument("--dilation-bound", type=int, default=CampaignConfig.dilation_bound)
     args = ap.parse_args()
 
     bad = 0
@@ -37,6 +37,8 @@ def main() -> int:
         print(f"{theorem_id:18s} {rep.trials_run:4d} trials  {status:14s} {time.perf_counter() - t0:6.1f}s")
         for v in rep.violations:
             print(f"  trial {v.trial}: {v.note}")
+        for note in rep.notes:
+            print(f"  note: {note}")
         bad += len(rep.violations)
     return 1 if bad else 0
 

@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--dim-max", type=int, default=CampaignConfig.dim_max)
     v.add_argument("--coord-bound", type=int, default=CampaignConfig.coord_bound)
-    v.add_argument("--dilation-bound", type=int, default=CampaignConfig.dilation_bound)
+    v.add_argument("--dilation-bound", type=int, default=CampaignConfig.dilation_bound,
+                   help="height total of lemma_1_1/lemma_1_2 and Minkowski-sum box of thm_0_4_equiv")
     _add_io_flags(v)
     v.set_defaults(func=_run_verify)
 

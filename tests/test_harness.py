@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 import sys
 from collections import Counter
 from itertools import product
@@ -16,7 +17,10 @@ from latcayley import (
     PolytopeFileError,
     PropertyReport,
     Verdict,
+    cayley_sum,
     dilate,
+    is_idp,
+    is_tuple_idp,
     level_index,
     load_polytope,
     minkowski_sum,
@@ -163,8 +167,9 @@ def test_campaign_smoke(theorem_id):
 
 
 # the campaigns that check a quantifier over an unbounded set on a finite box;
-# every level campaign scans to d+1, where its quantifier is complete
-TRUNCATED = {"lemma_1_1": "bounded total", "lemma_1_2": "bounded total", "thm_0_4_equiv": "dilation bound"}
+# every level campaign scans to d+1 and thm_0_4_equiv to heights summing to
+# max(2, dim C - 1), where their quantifiers are complete
+TRUNCATED = {"lemma_1_1": "bounded total", "lemma_1_2": "bounded total"}
 
 
 @pytest.mark.parametrize("theorem_id", THEOREM_IDS)
@@ -242,6 +247,47 @@ def test_campaign_violation_records_are_pinned(theorem_id, monkeypatch):
     expected = read_json(CAMPAIGN_VIOLATIONS)[theorem_id]
     assert expected, "every campaign's stand-ins must produce a violation"
     assert campaign_violations(theorem_id, monkeypatch) == expected
+
+
+def campaign_pair(trial):
+    """The two polygons trial ``trial`` of thm_0_4_equiv at seed 0 draws."""
+    rng = random.Random(trial)
+    config = CampaignConfig("thm_0_4_equiv", trials=1, seed=0)
+    return [campaigns._poly2(rng, config) for _ in range(2)]
+
+
+def test_factor_criterion_is_cayley_idp():
+    # the 100 polygon pairs of trials 0-99; two pairs of 3-polytopes in R^3,
+    # whose Cayley sums have dimension 4, so N = 3, the second with IDP factors
+    # and a Cayley sum that is not IDP; and the ex24 segment pair, whose
+    # Cayley sum is not IDP
+    space = [[random_lattice_polytope(s, 3, 3, 1), random_lattice_polytope(s + 1000, 3, 3, 1)] for s in (0, 1)]
+    ex24 = [load_fixture("ex24_p1"), load_fixture("ex24_p2")]
+    assert [cayley_sum(Ps).dim for Ps in space] == [4, 4]
+    verdicts = []
+    for Ps in [campaign_pair(k) for k in range(100)] + space + [ex24]:
+        C = cayley_sum(Ps)
+        criterion = campaigns._factor_criterion(Ps, max(2, C.dim - 1))
+        assert criterion == (is_idp(C).verdict is Verdict.HOLDS), Ps
+        verdicts.append(criterion)
+    assert verdicts[-3:] == [True, False, False] and 0 < sum(verdicts[:100]) < 100
+
+
+def test_factor_criterion_checks_at_most_five_tuples_for_two_polygons(monkeypatch):
+    # two polygons have a Cayley sum of dimension <= 3, so N = 2 and the
+    # height vectors are (0, 1), (0, 2), (1, 0), (1, 1) and (2, 0)
+    calls = []
+
+    def counting(Ps):
+        calls.append(Ps)
+        return is_tuple_idp(Ps)
+
+    monkeypatch.setattr(campaigns, "is_tuple_idp", counting)
+    config = CampaignConfig("thm_0_4_equiv", trials=1, seed=0, dilation_bound=2)
+    for trial in range(20):
+        calls.clear()
+        campaigns._run_thm_0_4_equiv(random.Random(trial), config, trial, [])
+        assert len(calls) <= 5
 
 
 # polytopes checked for levelness: by one trial at seed 0, the two sums of
