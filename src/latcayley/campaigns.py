@@ -235,7 +235,7 @@ def _run_lemma_1_1(rng, config, trial, out):
     for a in _heights(m, total, 0):
         got = cayley_slice(C, a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
-        if got.points != tuple(a + p for p in lattice_points(mink)):
+        if got.rows != tuple((a + p, lo, hi) for p, lo, hi in lattice_points(mink).rows):
             out.append(Violation(trial, _verts(*Ps), f"slice mismatch at heights {a}"))
 
 
@@ -246,9 +246,9 @@ def _run_lemma_1_2(rng, config, trial, out):
     C = cayley_sum(Ps)
     for a in _heights(m, total, 1):
         inner = interior_lattice_points(dilate(C, sum(a)))
-        got = tuple(p for p in inner if p[:m] == a)
+        got = tuple(row for row in inner.rows if row[0][:m] == a)
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
-        want = tuple(a + p for p in interior_lattice_points(mink))
+        want = tuple((a + p, lo, hi) for p, lo, hi in interior_lattice_points(mink).rows)
         if got != want:
             out.append(Violation(trial, _verts(*Ps), f"interior slice mismatch at heights {a}"))
 

@@ -310,8 +310,8 @@ def _lattice_witness(q: CoverageQuery) -> IntVec | None:
     # lattice x lies in t + B exactly when x - t is a lattice point of B (of
     # relint B in open mode); a translate may leave the target region
     points = lattice_points if q.mode is Mode.CLOSED else interior_lattice_points
-    covered = set(point_set_sum(q.translations, points(q.translate_base)).points)
-    return next((x for x in points(q.target) if x not in covered), None)
+    covered = point_set_sum(q.translations, points(q.translate_base))
+    return next(points(q.target).not_in(covered), None)
 
 
 def _verify_witness(q: CoverageQuery, w: Vec) -> None:

@@ -11,16 +11,17 @@ coordinate at a time, each coordinate bounded by the facets of the
 polytope's projection onto the coordinates fixed so far; those bounds are
 exact, so every point produced is in the polytope and none is re-tested.
 The projection rows of gB are g times those of B, so they are cached once
-per primitive base B.  Point sets the library builds sorted and distinct
-(enumerations, sums, Cayley slices) skip the public constructor's re-checks.
+per primitive base B.  A point set is held as its rows, the runs of the last
+coordinate the enumeration yields; point tuples are built on demand.  Sets
+the library builds (enumerations, sums, slices) skip the constructor checks.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
 
 from .geometry import (
@@ -74,39 +75,76 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, vertices={self.vertices})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PointSet:
-    """Deduplicated, lexicographically sorted finite set of lattice points."""
+    """Finite set of lattice points, held as its rows (prefix, lo, hi), the maximal runs
+    prefix + (x,), lo <= x <= hi, in lexicographic order; so equal sets have equal rows.
+    Sorted ``points`` are built on first use.  In Z^0 the point () is the row ((), 0, 0)."""
 
     ambient_dim: int
-    points: tuple[IntVec, ...]
+    rows: tuple[tuple[IntVec, int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, ambient_dim: int, points) -> None:
         # insertion-ordered dedup: points that arrive sorted sort in linear time
-        unique = dict.fromkeys(map(tuple, self.points))
-        if any(len(p) != self.ambient_dim for p in unique):
+        unique = dict.fromkeys(map(tuple, points))
+        if any(len(p) != ambient_dim for p in unique):
             raise DimensionMismatch("point length disagrees with ambient_dim")
         if not all(type(x) is int for p in unique for x in p):
             if not all(is_integer_vec(p) for p in unique):
                 raise GeometryError("lattice point coordinates must be integers")
             unique = dict.fromkeys(tuple(map(int, p)) for p in unique)
-        object.__setattr__(self, "points", tuple(sorted(unique)))
+        pts = tuple(sorted(unique))
+        rows: list[list] = []
+        for head, x in ((p[:-1], p[-1] if p else 0) for p in pts):
+            if rows and rows[-1][0] == head and rows[-1][2] == x - 1:
+                rows[-1][2] = x
+            else:
+                rows.append([head, x, x])
+        self.__dict__.update(ambient_dim=ambient_dim, rows=tuple(map(tuple, rows)), points=pts)
 
     @classmethod
-    def _sorted(cls, ambient_dim: int, points: tuple[IntVec, ...]) -> PointSet:
-        """A set the library built of int tuples of length ambient_dim, strictly increasing; no re-check."""
-        return _bare(cls, ambient_dim=ambient_dim, points=points)
+    def _from_rows(cls, ambient_dim: int, rows: tuple) -> PointSet:
+        """A set the library built as maximal runs in lexicographic order; no re-check."""
+        return _bare(cls, ambient_dim=ambient_dim, rows=rows)
+
+    @cached_property
+    def points(self) -> tuple[IntVec, ...]:
+        if not self.ambient_dim:
+            return ((),) * len(self.rows)
+        return tuple(p + (x,) for p, lo, hi in self.rows for x in range(lo, hi + 1))
 
     def __iter__(self):
         return iter(self.points)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return sum(hi - lo + 1 for _, lo, hi in self.rows)
 
     def __contains__(self, p) -> bool:
         p = tuple(p)
-        i = bisect_left(self.points, p)
-        return i < len(self.points) and self.points[i] == p
+        head, x = p[:-1], p[-1] if p else 0  # as rows hold the point () of Z^0
+        i = bisect_right(self.rows, (head, x, math.inf)) - 1
+        q, lo, hi = self.rows[i] if i >= 0 else (None, 0, -1)
+        return len(p) == self.ambient_dim and q == head and x in range(lo, hi + 1)
+
+    def not_in(self, other: PointSet):
+        """The points of this set that are not in other, in lexicographic
+        order, from one walk over both row lists."""
+        if not self.ambient_dim:  # the point () is in both sets or in one
+            yield from () if other.rows else self.points
+            return
+        rows, j = other.rows, 0
+        for p, lo, hi in self.rows:
+            x, end = lo, (p, hi, math.inf)
+            while j < len(rows) and rows[j] <= end:  # other's rows that start at or before (p, hi)
+                q, t_lo, t_hi = rows[j]
+                if q == p and t_hi >= x:
+                    yield from (p + (y,) for y in range(x, t_lo))
+                    x = t_hi + 1
+                    if x > hi + 1:  # the row reaches into this set's next row
+                        break
+                j += 1
+            if x <= hi:
+                yield from (p + (y,) for y in range(x, hi + 1))
 
 
 @dataclass(frozen=True)
@@ -291,8 +329,8 @@ def _projection_rows(base: frozenset) -> tuple:
     return tuple(levels[::-1])
 
 
-def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
-    """The integer points of P (closed mode) or of relint P, in lexicographic order.
+def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int, int]]:
+    """The integer points of P (closed mode) or of relint P, as ``PointSet`` rows.
 
     Coordinates are fixed in order.  Level k holds the rows of the projection
     pi_k(P) onto coordinates 0..k (the hull of the projected vertices; level
@@ -322,12 +360,12 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
     level below already enforces it, strictly in relative-interior mode.  So
     the rows give the exact fibre over each accepted prefix, the last
     coordinate is emitted as a whole interval, and no point is re-tested: the
-    output is sorted and distinct, as ``PointSet._sorted`` needs.  Raises
+    fibres are the maximal runs, in order, as ``PointSet._from_rows`` needs.  Raises
     CellBudgetExceeded when the output would pass LATCAYLEY_CELL_BUDGET.
     """
     n = desc.ambient_dim
     if n == 0:
-        return [()]
+        return [((), 0, 0)]
     strict = int(mode is Mode.RELATIVE_INTERIOR)
     # levels[k] = (upper, lower); a row (head, a, m, r) bounds x_k above by
     # (r - head.x - a x_{k-1}) // m, or below by -((r - head.x - a x_{k-1}) // m)
@@ -341,17 +379,20 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[IntVec]:
         for head, m, c, is_facet, side in rows:
             levels[k][side].append((head[:-1], head[-1], m, g * c - strict * is_facet))
     budget = cell_budget()
-    out: list[IntVec] = []
+    out: list[tuple[IntVec, int, int]] = []
+    count = 0
 
     def rec(k: int, prefix: IntVec, lo: int, hi: int) -> None:
         # x_k runs over [lo, hi]
+        nonlocal count
         if k == n - 1:
-            if len(out) + hi - lo + 1 > budget:
+            count += hi - lo + 1
+            if count > budget:
                 raise CellBudgetExceeded(
                     f"lattice point enumeration would return more than {budget} points; "
                     f"raise {CELL_BUDGET_ENV} to allow more"
                 )
-            out.extend(prefix + (x,) for x in range(lo, hi + 1))
+            out.append((prefix, lo, hi))
             return
         upper, lower = ([(r - dot(h, prefix), a, m) for h, a, m, r in rows] for rows in levels[k + 1])
         for x in range(lo, hi + 1):
@@ -386,13 +427,13 @@ def _admit(points: PointSet) -> PointSet:
 @lru_cache(maxsize=512)
 def lattice_points(P: LatticePolytope) -> PointSet:
     """All integer points of P (exactly those accepted by closed containment)."""
-    return _admit(PointSet._sorted(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED))))
+    return _admit(PointSet._from_rows(P.ambient_dim, tuple(_integer_points(P.desc, Mode.CLOSED))))
 
 
 @lru_cache(maxsize=512)
 def interior_lattice_points(P: LatticePolytope) -> PointSet:
     """Integer points of relint(P) (exactly those accepted by relative-interior containment)."""
-    return _admit(PointSet._sorted(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
+    return _admit(PointSet._from_rows(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
 
 
 _ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows, _sum_template)
@@ -424,10 +465,12 @@ def cayley_slice(C: LatticePolytope, heights) -> PointSet:
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")
-    # the points with leading block a are one run of the sorted points
-    pts = lattice_points(dilate(C, sum(a))).points
-    run = pts[bisect_left(pts, a) : bisect_left(pts, (*a[:-1], a[-1] + 1))]
-    return PointSet._sorted(C.ambient_dim, run)
+    pts = lattice_points(dilate(C, sum(a)))
+    if m == C.ambient_dim:  # factors in Z^0: the slice is the point a or nothing
+        return PointSet(m, (a,) if a in pts else ())
+    # the rows whose prefix starts with a are one run of the sorted rows
+    rows = pts.rows[bisect_left(pts.rows, (a,)) : bisect_left(pts.rows, ((*a[:-1], a[-1] + 1),))]
+    return PointSet._from_rows(C.ambient_dim, rows)
 
 
 def normal_fan_coarsens(P: LatticePolytope, Q: LatticePolytope) -> bool:

@@ -235,6 +235,7 @@ def test_library_built_point_sets_are_what_the_public_constructor_builds(Q, pa, 
     C = cayley_sum([from_vertices(pa), from_vertices(pb)])
     for S in (closed, inner, point_set_sum(closed, inner), point_set_sum(inner, closed), cayley_slice(C, heights)):
         assert S.points == PointSet(S.ambient_dim, S.points).points
+        assert S == PointSet(S.ambient_dim, S.points)  # the rows the library built are the canonical ones
         assert all(type(x) is int for p in S for x in p)
 
 

@@ -33,6 +33,7 @@ from latcayley import (
     translate,
 )
 
+from latcayley import properties
 from latcayley.covering import _lattice_witness
 from latcayley.geometry import Mode, contains, vec_sub
 
@@ -128,6 +129,47 @@ def test_point_set_sum_matches_pairwise_off_convex_inputs(pair):
     assert point_set_sum(A, B).points == tuple(sorted(pairwise))
     assert point_set_sum(A, B) == columnar_sum(A, B)
     assert point_set_sum(B, A) == columnar_sum(B, A)
+
+
+def assert_canonical_rows(S):
+    """S's rows are maximal runs in lexicographic order and expand to S.points."""
+    for (p, lo, hi), (q, lo2, _) in zip(S.rows, S.rows[1:]):
+        assert p < q or (p == q and hi + 1 < lo2), (S.rows, p, q)
+    assert all(len(p) == S.ambient_dim - 1 and lo <= hi for p, lo, hi in S.rows)
+    assert S.points == tuple((*p, x) for p, lo, hi in S.rows for x in range(lo, hi + 1))
+
+
+def sets_and_queries(n):
+    return st.tuples(point_sets(n), point_sets(n), st.lists(st.tuples(*[st.integers(-7, 7)] * n), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(sets_and_queries))
+@example((PointSet(2, ()), SQUARE, []))
+@example((SQUARE, PointSet(2, ()), [(0, 2), (1, -1)]))
+@example((PointSet(1, ((0,), (1,), (3,))), PointSet(1, ((1,), (2,), (3,), (4,))), [(2,)]))
+def test_point_set_rows_are_canonical_and_agree_with_points(triple):
+    A, B, queries = triple
+    S = point_set_sum(A, B)  # built from rows
+    assert len(S) == sum(hi - lo + 1 for _, lo, hi in S.rows) and "points" not in vars(S)  # len builds no tuples
+    for T in (A, B, S):
+        assert_canonical_rows(T)
+        U = PointSet(T.ambient_dim, T.points[::-1])  # built from points
+        assert (U, hash(U), U.rows) == (T, hash(T), T.rows)
+        near = [(*p[:-1], p[-1] + d) for p in T.points for d in (-1, 1)]
+        for q in list(T.points) + near + queries + [q[:-1] for q in queries]:
+            assert (q in T) == (tuple(q) in set(T.points)), (T, q)
+    for X, Y in ((A, B), (B, A), (A, S), (S, A), (S, S)):
+        assert list(X.not_in(Y)) == sorted(set(X.points) - set(Y.points))
+
+
+def test_point_set_rows_in_ambient_dimension_zero():
+    empty, origin = PointSet(0, ()), PointSet(0, ((),))
+    assert (empty.rows, origin.rows) == ((), (((), 0, 0),))
+    assert (len(empty), len(origin), origin.points) == (0, 1, ((),))
+    assert () in origin and () not in empty and (0,) not in origin
+    assert lattice_points(from_vertices([()])) == origin
+    assert (list(origin.not_in(empty)), list(origin.not_in(origin)), list(empty.not_in(origin))) == ([()], [], [])
 
 
 # ---------------------------------------------------------------------------
@@ -523,3 +565,43 @@ def test_deciders_match_reference_sumset_scans(pair):
             assert _lattice_witness(q) == ref_lattice_witness(q)
     for a in ((0, 0), (1, 0), (1, 2), (2, 1)):
         assert cayley_slice(C, a) == ref_cayley_slice(pair, a)
+
+
+@pytest.mark.parametrize("h", [2, 3, 4, 5])
+def test_level_scan_places_points_outside_the_previous_degree_sum(h):
+    # Reeve tetrahedra (heights 2 and 4 are the reeve fixtures): r = 2 and the
+    # horizon is 4, and int(3R) + R cap Z misses one point of int(4R), so the
+    # incremental scan's membership fallback must place it
+    R = P((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, h))
+    X = point_set_sum(interior_lattice_points(dilate(R, 3)), lattice_points(R))
+    assert (len(X), len(interior_lattice_points(dilate(R, 4)))) == (10 * (h - 1), 10 * (h - 1) + 1)
+    rep = level_status(R)
+    assert (rep.verdict, rep.degrees_checked) == (Verdict.VERIFIED_UP_TO_HORIZON, (2, 4))
+    assert rep.witness == ref_level_witness(R, 4)
+
+
+def test_level_scan_matches_the_full_sumset_reference_on_3_polytopes():
+    past_first_sum = 0  # scans that reached a degree n >= r + 2, where the fallback runs
+    for seed in range(200):
+        R = random_lattice_polytope(seed, 3, 3, coord_bound=2, n_points=4 + seed % 4)
+        rep = level_status(R)
+        assert rep.witness == ref_level_witness(R, rep.horizon_used), seed
+        r = rep.degrees_checked[0]
+        past_first_sum += rep.horizon_used >= r + 2 and (rep.witness is None or rep.witness[0] >= r + 2)
+    assert past_first_sum >= 20
+
+
+@pytest.mark.parametrize("check", ["is_idp", "is_tuple_idp", "level_status"])
+def test_decomposition_checks_call_the_module_binding_of_point_set_sum(check, monkeypatch, unit_square):
+    # an outside tracer wraps properties.point_set_sum, so each decomposition
+    # check must reach the kernel through that module name
+    calls = []
+
+    def counting(A, B):
+        calls.append((A, B))
+        return point_set_sum(A, B)
+
+    monkeypatch.setattr(properties, "point_set_sum", counting)
+    args = {"is_idp": (unit_square,), "is_tuple_idp": ([unit_square, unit_square],), "level_status": (unit_square,)}
+    getattr(properties, check)(*args[check])
+    assert calls
