@@ -169,6 +169,8 @@ def test_point_set_rows_in_ambient_dimension_zero():
     assert (len(empty), len(origin), origin.points) == (0, 1, ((),))
     assert () in origin and () not in empty and (0,) not in origin
     assert lattice_points(from_vertices([()])) == origin
+    C = cayley_sum([from_vertices([()])] * 2)  # factors in Z^0: each slice is one point
+    assert [cayley_slice(C, a).points for a in ((0, 0), (2, 0), (1, 1))] == [((0, 0),), ((2, 0),), ((1, 1),)]
     assert (list(origin.not_in(empty)), list(origin.not_in(origin)), list(empty.not_in(origin))) == ([()], [], [])
 
 
