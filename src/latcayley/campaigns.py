@@ -55,8 +55,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise GeometryError("trials must be at least 1")
-        if not (1 <= self.dim_max <= 4):
-            raise GeometryError("dim_max must be between 1 and 4")
+        if not (1 <= self.dim_max <= 3):
+            raise GeometryError("dim_max must be between 1 and 3")
         if self.coord_bound < 1 or self.dilation_bound < 1:
             raise GeometryError("bounds must be positive")
 
@@ -210,7 +210,7 @@ def _check_level(trial, out, inputs, S, r, what):
 
 
 def _run_thm_0_1(rng, config, trial, out):
-    d = rng.randint(1, min(config.dim_max, 3))
+    d = rng.randint(1, config.dim_max)
     bound = config.coord_bound if d <= 2 else min(config.coord_bound, 2)
     P = _poly(rng, d, bound)
     for n in sorted({max(1, d - 1), d}):
@@ -294,8 +294,8 @@ def _run_thm_2_1(rng, config, trial, out):
 
 
 def _run_lemma_2_2(rng, config, trial, out):
-    d = rng.randint(1, min(config.dim_max, 3))
-    bound = config.coord_bound if d <= 2 else min(config.coord_bound, 1)
+    d = rng.randint(1, config.dim_max)
+    bound = config.coord_bound if d <= 2 else 1
     P = _poly(rng, d, bound)
     hi = d + 2 if d <= 2 else d
     for n in range(d, hi + 1):
@@ -333,7 +333,7 @@ def _run_thm_3_2(rng, config, trial, out):
 
 
 def _run_lemma_3_3(rng, config, trial, out):
-    d = rng.randint(1, min(config.dim_max, 3))
+    d = rng.randint(1, config.dim_max)
     bound = config.coord_bound if d <= 2 else 1
     P = _poly(rng, d, bound)
     Q = dilate(P, d + 1)
@@ -380,8 +380,8 @@ def _run_bn_gorenstein(rng, config, trial, out):
     C = cayley_sum(Ps)
     gM = is_gorenstein(M)
     gC = is_gorenstein(C)
-    mink_side = gM.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gM.degrees_checked[0] == 1
-    cay_side = gC.verdict is Verdict.VERIFIED_UP_TO_HORIZON and gC.degrees_checked[0] == 2
+    mink_side = gM.verdict is not Verdict.FAILS and gM.degrees_checked[0] == 1
+    cay_side = gC.verdict is not Verdict.FAILS and gC.degrees_checked[0] == 2
     if mink_side != cay_side:
         out.append(
             Violation(

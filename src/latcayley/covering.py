@@ -2,11 +2,12 @@
 
 ``covers`` subtracts translates from the target recursively, in integers
 only.  The translates are classified once against the target into one table:
-shared rows of normals, one row of integer offsets per translate, and per row
-a bitmask of the translates at or above each offset.  A piece's barycenter
+shared rows of normals (the base's ``constraint_rows``, where an equality is
+two opposite rows), one row of integer offsets per translate, and per row a
+bitmask of the translates at or above each offset.  A piece's barycenter
 values on the rows are rounded (up in closed mode, down in the relative-
 interior one) and looked up, and the lowest remaining translate containing it
-is carved out of the piece along its facet halfspaces, one at a time.  That
+is carved out of the piece along its rows' halfspaces, one at a time.  That
 leaves closed branches whose union is exactly the piece minus the
 translate's region, so the decision is exact in both modes.  A piece that
 one remaining translate already holds is skipped, not carved: its highest
@@ -47,6 +48,7 @@ from .geometry import (
     _piece_edges,
     _tight_masks,
     cell_budget,
+    constraint_rows,
     contains,
     dot,
     norm_scalar,
@@ -80,57 +82,46 @@ def _constant_value(normal: IntVec, verts: tuple[IntVec, ...]) -> int | None:
     return vals.pop() if len(vals) == 1 else None
 
 
-def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], int, list[IntVec]]:
-    """The translates as one row table ``(normals, carve, offsets)``.
+def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[IntVec]]:
+    """The translates as one row table ``(normals, offsets)``.
 
-    ``normals`` holds the base's facet normals that vary on the target (the
-    first ``carve``), then each varying equality normal as the pair ``u``,
-    ``-u``.  ``offsets`` holds, per live translate in sorted-shift order, its
-    right-hand sides over those rows.  A normal constant on the target settles
-    its row for the whole target: the translate is dropped, or the row holds
-    everywhere there and is left out.  So a target point ``x`` lies in
-    translate ``i`` iff ``u.x <= off`` on every row, and in its open region iff
-    ``u.x < off`` (relative-interior mode refuses varying equalities).  The
-    offsets are integers, as the base is a lattice polytope.
+    ``normals`` holds the normals of the base's ``constraint_rows`` that vary
+    on the target, in that order; ``offsets`` holds, per live translate in
+    sorted-shift order, its right-hand sides over those rows.  A row constant
+    on the target settles itself for the whole target: the translate is
+    dropped, or the row holds everywhere there and is left out.  So a target
+    point ``x`` lies in translate ``i`` iff ``u.x <= off`` on every row, and
+    in its open region iff ``u.x < off`` (relative-interior mode refuses
+    varying equalities).  The offsets are integers, as the base is a lattice
+    polytope.
     """
-    base = q.translate_base.desc
+    rows = constraint_rows(q.translate_base.desc)
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
-    fconst = [_constant_value(normal, tverts) for normal, _ in base.facets]
-    econst = [_constant_value(normal, tverts) for normal, _ in base.equalities]
-    normals = [normal for (normal, _), val in zip(base.facets, fconst) if val is None]
-    carve = len(normals)
-    for (normal, _), val in zip(base.equalities, econst):
-        if val is None:
-            normals += [normal, tuple(-x for x in normal)]
+    consts = [_constant_value(u, tverts) for u, _, _ in rows]
+    normals = tuple(u for (u, _, _), val in zip(rows, consts) if val is None)
 
     def row(t: IntVec) -> IntVec | None:
         out: list[int] = []
-        for (normal, c), val in zip(base.facets, fconst):
-            off = c + dot(normal, t)
+        for (u, c, is_facet), val in zip(rows, consts):
+            off = c + dot(u, t)
             if val is None:
                 out.append(off)
-            elif val > off or (relint and val == off):
-                # the inequality fails everywhere on the target (or, open
-                # mode, is never strict there)
-                return None
-        for (normal, c), val in zip(base.equalities, econst):
-            off = c + dot(normal, t)
-            if val is None:
-                out += [off, -off]
-            elif val != off:
+            elif val > off or (relint and is_facet and val == off):
+                # the row fails everywhere on the target (or, open mode, a
+                # facet row is never strict there)
                 return None
         return tuple(out)
 
     offsets = [r for r in map(row, sorted(q.translations)) if r is not None]
     if any(type(off) is not int for r in offsets for off in r):
         raise AssertionError("a translate offset is not an integer")
-    if relint and offsets and len(normals) > carve:
+    if relint and offsets and any(not f for (_, _, f), val in zip(rows, consts) if val is None):
         raise GeometryError(
             "RelativeInterior covering needs every translate to span the "
             "target's affine hull or miss it entirely"
         )
-    return tuple(normals), carve, offsets
+    return normals, offsets
 
 
 def _row_index(offsets: list[IntVec], nrows: int) -> list[tuple[list[int], list[int]]]:
@@ -194,17 +185,16 @@ def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | Non
     return _Piece(*zip(*neg)), _Piece(*zip(*pos)), vals
 
 
-def _subtract_branches(
-    piece: _Piece, normals: tuple[IntVec, ...], carve: int, offs: IntVec, mode: Mode
-) -> list[_Piece]:
+def _subtract_branches(piece: _Piece, normals: tuple[IntVec, ...], offs: IntVec, mode: Mode) -> list[_Piece]:
     """Carve one translate, given by its offsets ``offs`` over the rows
-    ``normals``, out of the piece.
+    ``normals``, out of the piece, one row at a time.
 
     Closed mode: branch interiors are strictly outside the translate and the
     dropped remainder lies inside it.  A translate made thin by a varying
-    equality (row ``carve``) is handled by splitting along that equality; the
-    thin covered set stays inside both branches but never strictly inside a
-    full-dimensional one, which the closed-mode verdict tolerates (see covers).
+    equality splits the piece along that equality's hyperplane (see
+    ``constraint_rows``); the thin covered set stays inside both branches but
+    never strictly inside a full-dimensional one, which the closed-mode
+    verdict tolerates (see covers).
 
     Relative-interior mode: the branch union is exactly the piece minus the
     open region.  A piece on the <= side of a row still yields its slice on
@@ -212,11 +202,9 @@ def _subtract_branches(
     hyperplane needs no bit there, as a bit set at every vertex of a piece
     does not change the edge test.
     """
-    if len(normals) > carve:
-        return [p for p in _cut_piece(piece, normals[carve], offs[carve])[:2] if p is not None]
     branches: list[_Piece] = []
     rest: _Piece | None = piece
-    for normal, c in zip(normals[:carve], offs):
+    for normal, c in zip(normals, offs):
         if rest is None:
             break
         rest, outside, vals = _cut_piece(rest, normal, c)
@@ -257,7 +245,7 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     unchanged, and the budget still counts every popped piece.
     """
     target = q.target.desc
-    normals, carve, offsets = _classify_translates(q)
+    normals, offsets = _classify_translates(q)
     index = _row_index(offsets, len(normals))
     slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
     facet_bits = (1 << len(target.facets)) - 1
@@ -297,7 +285,7 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
         if whole:
             continue
         pick = hits & -hits
-        for branch in reversed(_subtract_branches(piece, normals, carve, offsets[pick.bit_length() - 1], q.mode)):
+        for branch in reversed(_subtract_branches(piece, normals, offsets[pick.bit_length() - 1], q.mode)):
             stack.append((branch, remaining ^ pick))
     return None
 
@@ -351,7 +339,8 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     The reverse inclusion, every translate sitting inside relint(2P), is an
     identity; it is asserted on one relative interior sample per translate, not
     searched for: the barycenter b + t, tested in integers as k(b + t) = S + kt,
-    with k vertices summing to S.
+    with k vertices summing to S, which must satisfy each equality row and lie
+    strictly inside each facet row, u.x <= k*c - 1.
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
@@ -359,9 +348,7 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     S = tuple(map(sum, zip(*P.desc.vertices)))
     for t in pts:
         x = tuple(s + k * a for s, a in zip(S, t))
-        if any(dot(u, x) != k * c for u, c in two.desc.equalities) or any(
-            dot(u, x) >= k * c for u, c in two.desc.facets
-        ):
+        if any(dot(u, x) > k * c - is_facet for u, c, is_facet in constraint_rows(two.desc)):
             raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
     return replace(covers(q), property="cond01")

@@ -391,6 +391,23 @@ def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:
     return all(dot(normal, x) < c for normal, c in desc.facets)
 
 
+def constraint_rows(desc: DualDescription) -> tuple[tuple[IntVec, Scalar, bool], ...]:
+    """The rows u.x <= c of desc, as (u, c, is_facet): each equality u.x = c
+    gives (-u, -c) then (u, c), and the facets follow.
+
+    The covering subtraction carves a translate out of a piece row by row, in
+    this order.  A translate thinner than its target has an equality varying
+    there.  Its row (-u, -c) comes first and splits the piece into the branch
+    u.x <= c and the rest, u.x >= c; its row (u, c) returns that rest whole as
+    the second branch, so nothing is left to cut: the piece is split along the
+    hyperplane, <= side first.
+    """
+    rows = []
+    for u, c in desc.equalities:
+        rows += [(tuple(-x for x in u), -c, False), (u, c, False)]
+    return (*rows, *((u, c, True) for u, c in desc.facets))
+
+
 # ---------------------------------------------------------------------------
 # edges of a polytope given by its vertices and (possibly redundant) constraints
 

@@ -35,6 +35,7 @@ from .geometry import (
     _piece_edges,
     _tight_masks,
     cell_budget,
+    constraint_rows,
     convex_hull,
     dot,
     is_integer_vec,
@@ -306,41 +307,33 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
-def _level_rows(desc: DualDescription, k: int) -> tuple:
-    """The rows u.x <= c of desc with u_k != 0 (an equality gives two), as
-    (u_0..u_{k-1}, |u_k|, c, is_facet, side), side 1 iff u_k < 0."""
-    rows = [(u, c, 1) for u, c in desc.facets]
-    for u, c in desc.equalities:
-        rows += [(u, c, 0), (tuple(-x for x in u), -c, 0)]
-    return tuple((u[:k], abs(u[k]), c, f, int(u[k] < 0)) for u, c, f in rows if u[k])
-
-
 @lru_cache(maxsize=512)
 def _projection_rows(base: frozenset) -> tuple:
     """Levels 1..n-2 of ``_integer_points`` for a primitive base B, given B's
-    vertices projected onto coordinates 0..n-2: ``_level_rows`` of each
-    pi_k(B).  c is unshifted: one entry serves every gB and both modes."""
+    vertices projected onto coordinates 0..n-2: the ``constraint_rows`` of
+    each pi_k(B).  c is unshifted: one entry serves every gB and both modes."""
     levels = []
     proj_vertices = base
     for k in range(len(next(iter(base))) - 1, 0, -1):
         proj = convex_hull({v[: k + 1] for v in proj_vertices})
         proj_vertices = proj.vertices
-        levels.append(_level_rows(proj, k))
+        levels.append(constraint_rows(proj))
     return tuple(levels[::-1])
 
 
 def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int, int]]:
     """The integer points of P (closed mode) or of relint P, as ``PointSet`` rows.
 
-    Coordinates are fixed in order.  Level k holds the rows of the projection
-    pi_k(P) onto coordinates 0..k (the hull of the projected vertices; level
-    n-1 is P itself) whose k-th coefficient is nonzero.  Every offset c is an
-    integer (an integer normal dotted with an integer vertex), so a facet
-    u.x <= c is kept as is, and in relative-interior mode it becomes
-    u.x <= c - 1, which over the integers is exactly u.x < c.  Each equality
-    becomes two rows.  Level 0 needs no hull: pi_0(P) is the interval between
-    the least and greatest first coordinate of a vertex, which shrinks by one
-    at each end in relative-interior mode unless it is a single point.
+    Coordinates are fixed in order.  Level k holds the ``constraint_rows``
+    u.x <= c of the projection pi_k(P) onto coordinates 0..k (the hull of the
+    projected vertices; level n-1 is P itself) whose k-th coefficient is
+    nonzero, filed by its sign as an upper or a lower bound on x_k.  Every
+    offset c is an integer (an integer normal dotted with an integer vertex),
+    so in relative-interior mode a facet row becomes u.x <= c - 1, which over
+    the integers is exactly u.x < c; the other rows are kept as they are.
+    Level 0 needs no hull: pi_0(P) is the interval between the least and
+    greatest first coordinate of a vertex, which shrinks by one at each end
+    in relative-interior mode unless it is a single point.
 
     A level k+1 row is split into its head over x_0..x_{k-1}, its
     coefficient a of x_k and m = |u_{k+1}|.  A node at level k reduces each
@@ -370,14 +363,15 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int
     # levels[k] = (upper, lower); a row (head, a, m, r) bounds x_k above by
     # (r - head.x - a x_{k-1}) // m, or below by -((r - head.x - a x_{k-1}) // m)
     levels: list[tuple[list, list]] = [([], []) for _ in range(n)]
-    scaled = [(1, _level_rows(desc, n - 1))] if n > 1 else []  # (g, rows) for levels 1..n-1
+    scaled = [(1, constraint_rows(desc))] if n > 1 else []  # (g, rows) for levels 1..n-1
     if n > 2:
         g = math.gcd(*(x for v in desc.vertices for x in v)) or 1
         base = frozenset(tuple(x // g for x in v[:-1]) for v in desc.vertices)
         scaled[:0] = [(g, rows) for rows in _projection_rows(base)]
     for k, (g, rows) in enumerate(scaled, 1):
-        for head, m, c, is_facet, side in rows:
-            levels[k][side].append((head[:-1], head[-1], m, g * c - strict * is_facet))
+        for u, c, is_facet in rows:
+            if u[k]:
+                levels[k][u[k] < 0].append((u[: k - 1], u[k - 1], abs(u[k]), g * c - strict * is_facet))
     budget = cell_budget()
     out: list[tuple[IntVec, int, int]] = []
     count = 0

@@ -242,12 +242,10 @@ def _reference_cut(piece, normal, offset):
     return tuple(zip(*neg)), tuple(zip(*pos))
 
 
-def _reference_branches(piece, normals, carve, offs, mode):
-    if len(normals) > carve:
-        return [p for p in _reference_cut(piece, normals[carve], offs[carve]) if p is not None]
+def _reference_branches(piece, normals, offs, mode):
     branches = []
     rest = piece
-    for normal, c in zip(normals[:carve], offs):
+    for normal, c in zip(normals, offs):
         if rest is None:
             break
         rest, outside = _reference_cut(rest, normal, c)
@@ -262,7 +260,7 @@ def _reference_branches(piece, normals, carve, offs, mode):
 def reference_subtraction(q: CoverageQuery) -> Vec | None:
     """The first uncovered piece barycenter in depth-first order, or None."""
     target = q.target.desc
-    normals, carve, offsets = _classify_translates(q)
+    normals, offsets = _classify_translates(q)
     accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     start = (target.vertices, tuple(_tight_masks(target.vertices, target.facets)))
     stack = [(start, tuple(range(len(offsets))))]
@@ -276,7 +274,7 @@ def reference_subtraction(q: CoverageQuery) -> Vec | None:
         if pick is None:
             return b
         rem = tuple(i for i in remaining if i != pick)
-        for branch in reversed(_reference_branches(piece, normals, carve, offsets[pick], q.mode)):
+        for branch in reversed(_reference_branches(piece, normals, offsets[pick], q.mode)):
             stack.append((branch, rem))
     return None
 
@@ -682,7 +680,7 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     c = Fraction(c)
     flush = tuple(c.denominator * x for x in normal), c.numerator
     (u, off) = random_row(piece)
-    for part in _subtract_branches(piece, (flush[0], u), 2, (flush[1], off), Mode.RELATIVE_INTERIOR):
+    for part in _subtract_branches(piece, (flush[0], u), (flush[1], off), Mode.RELATIVE_INTERIOR):
         assert_masks_exact(part)
 
 
@@ -690,7 +688,7 @@ def _assert_table_matches_membership(q: CoverageQuery):
     """On rational points x of the target (lattice points and barycenters of
     vertex subsets), the offset rows accepting the row values of x are as
     many as the translates containing x by direct membership."""
-    normals, _, offsets = _classify_translates(q)
+    normals, offsets = _classify_translates(q)
     accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     verts = q.target.desc.vertices
     rng = random.Random(len(verts))
@@ -705,11 +703,11 @@ def _assert_table_matches_membership(q: CoverageQuery):
 
 
 def test_table_matches_membership_on_thin_cases(unit_square):
-    # a segment base is cut by its varying equality, so the table has rows
-    # past ``carve``
+    # a segment base is cut by its varying equality, so the table leads with
+    # that equality's opposite pair of rows
     q = query(dilate(unit_square, 2), P((0, 0), (1, 0)), lattice_points(unit_square).points)
-    normals, carve, _ = _classify_translates(q)
-    assert len(normals) > carve
+    normals, _ = _classify_translates(q)
+    assert normals[0] == tuple(-x for x in normals[1])
     _assert_table_matches_membership(q)
     # squares flush against a segment target from above and from below: the
     # closed ones meet it at (3/2, 0), the open ones miss it
@@ -717,6 +715,13 @@ def test_table_matches_membership_on_thin_cases(unit_square):
         _assert_table_matches_membership(
             query(P((0, 0), (3, 0)), unit_square, [(1, 0), (1, -1)], mode)
         )
+    # a segment base whose equality is constant on a segment target: the
+    # shift off that line is dropped, the other three keep a row each
+    for mode, verdict in ((Mode.CLOSED, Verdict.HOLDS), (Mode.RELATIVE_INTERIOR, Verdict.FAILS)):
+        q = query(P((0, 0), (3, 0)), P((0, 0), (1, 0)), [(0, 1), (0, 0), (1, 0), (2, 0)], mode)
+        assert len(_classify_translates(q)[1]) == 3
+        _assert_table_matches_membership(q)
+        assert covers(q).verdict is verdict
 
 
 @settings(max_examples=40, deadline=None)

@@ -145,6 +145,8 @@ def test_campaign_config_validation():
     with pytest.raises(GeometryError):
         CampaignConfig("thm_0_1", trials=1, seed=0, dim_max=5)
     with pytest.raises(GeometryError):
+        CampaignConfig("thm_0_1", trials=1, seed=0, dim_max=4)
+    with pytest.raises(GeometryError):
         CampaignConfig("thm_0_1", trials=1, seed=0, coord_bound=0)
 
 
@@ -370,6 +372,15 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         "construct", "dilate", fixture_arg("unit_square"), fixture_arg("segment"),
         "--factor", "2", "--out", str(tmp_path / "o.json"),
     ]) == 2
+    capsys.readouterr()
+    square, segment, out = fixture_arg("unit_square"), fixture_arg("segment"), str(tmp_path / "o.json")
+    for argv, message in [
+        (["check", "--property", "idp", square, segment], "takes exactly one polytope file"),
+        (["construct", "dilate", square, "--out", out], "dilate needs --factor"),
+        (["construct", "minkowski", square, "--out", out], "minkowski needs at least two"),
+    ]:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", ["directory", "not-utf8", "check-out", "construct-out"])
@@ -429,16 +440,18 @@ def test_cli_check_json_format(capsys):
     assert doc["degrees_checked"] == [2, 2]
 
 
-def test_cli_construct_minkowski(tmp_path, capsys):
+@pytest.mark.parametrize("operation", ["minkowski", "cayley"])
+def test_cli_construct_minkowski(operation, tmp_path, capsys):
     out = tmp_path / "sum.json"
     code = main([
-        "construct", "minkowski",
+        "construct", operation,
         fixture_arg("ex19_p1"), fixture_arg("ex19_p2"),
         "--out", str(out), "--name", "sum",
     ])
     assert code == 0
-    expected = minkowski_sum([load_fixture("ex19_p1"), load_fixture("ex19_p2")])
-    assert load_polytope(out) == expected
+    combine = {"minkowski": minkowski_sum, "cayley": cayley_sum}[operation]
+    expected = combine([load_fixture("ex19_p1"), load_fixture("ex19_p2")])
+    assert load_polytope(out) == expected == load_fixture(f"ex19_{operation}")
     assert read_json(out)["name"] == "sum"
 
 

@@ -21,13 +21,15 @@ from latcayley import (
     edges,
     from_vertices,
     interior_lattice_points,
+    is_tuple_idp,
     lattice_points,
     minkowski_sum,
     normal_fan_coarsens,
     point_set_sum,
+    random_lattice_polytope,
     translate,
 )
-from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, contains, dot
+from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, contains, convex_hull, dot
 from latcayley.polytope import _projection_rows, _sum_template
 
 from conftest import Plane, seg
@@ -82,6 +84,32 @@ def test_from_vertices_rejects_non_integer():
         from_vertices([(0, 0), (1, 0.5)])
     with pytest.raises(GeometryError):
         from_vertices([(True, 0), (0, 1)])
+
+
+_SQUARE, _SEGMENT = P((0, 0), (1, 0), (0, 1), (1, 1)), P((0,), (1,))
+
+
+@pytest.mark.parametrize("kind, call", [
+    (GeometryError, lambda: from_vertices([])),
+    (GeometryError, lambda: convex_hull([])),
+    (GeometryError, lambda: translate(_SQUARE, (1,))),
+    (GeometryError, lambda: minkowski_sum([])),
+    (GeometryError, lambda: cayley_sum([])),
+    (GeometryError, lambda: is_tuple_idp([])),
+    (GeometryError, lambda: DualDescription(1, 0, (), (), ())),
+    (GeometryError, lambda: DualDescription(2, 1, ((0, 0),), (), ())),
+    (GeometryError, lambda: LatticePolytope(convex_hull([(Fraction(1, 2),)]))),
+    (GeometryError, lambda: random_lattice_polytope(0, 0, 0)),
+    (DimensionMismatch, lambda: convex_hull([(0,), (0, 1)])),
+    (DimensionMismatch, lambda: cayley_sum([_SEGMENT, _SQUARE])),
+    (DimensionMismatch, lambda: normal_fan_coarsens(_SEGMENT, _SQUARE)),
+    (DimensionMismatch, lambda: contains(_SQUARE.desc, (0,))),
+    (DimensionMismatch, lambda: DualDescription(2, 0, ((0,),), (), (((0, 1), 0), ((1, 0), 0)))),
+])
+def test_library_refusals(kind, call):
+    with pytest.raises(GeometryError) as caught:
+        call()
+    assert type(caught.value) is kind
 
 
 @pytest.mark.parametrize("bad", [(0.5, 0), (True, 0), (Fraction(1, 2), 0), (1.0, 0)])
