@@ -339,8 +339,8 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     The reverse inclusion, every translate sitting inside relint(2P), is an
     identity; it is asserted on one relative interior sample per translate, not
     searched for: the barycenter b + t, tested in integers as k(b + t) = S + kt,
-    with k vertices summing to S, which must satisfy each equality row and lie
-    strictly inside each facet row, u.x <= k*c - 1.
+    with k vertices summing to S: the integer vector x = S + kt must meet every
+    equality row of 2P and every facet row strictly, u.x <= k*c - 1.
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
