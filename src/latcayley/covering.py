@@ -14,11 +14,14 @@ one remaining translate already holds is skipped, not carved: its highest
 vertex value on each row is looked up in the same index (in the relative-
 interior mode one offset lower when the face reaching it lies in a target
 facet, as the search never needs a boundary point covered).  A piece is its
-vertices, as homogeneous integer vectors, with one incidence bitmask each,
+vertices, as homogeneous integer vectors led by their row values (the slack
+matrix of the double description method), with one incidence bitmask each,
 which every cut updates exactly, so its edges come from the combinatorial
-adjacency test of the double description method.  It is the only covering
-decider; ``is_2_convex_normal`` and ``has_interior_translate_cover`` pose
-their questions through it.
+adjacency test.  Row values are linear in the homogeneous coordinates, so a
+cut's new vertex carries its endpoints' combination of them, and neither a
+cut nor a lookup takes a dot product.  It is the only covering decider;
+``is_2_convex_normal`` and ``has_interior_translate_cover`` pose their
+questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
@@ -29,13 +32,13 @@ deterministic subtraction order is used.
 
 from __future__ import annotations
 
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, product
 from math import gcd, lcm
+from operator import and_, mul, or_
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -77,11 +80,6 @@ class CoverageQuery:
 # the translates' row table
 
 
-def _constant_value(normal: IntVec, verts: tuple[IntVec, ...]) -> int | None:
-    vals = {dot(normal, v) for v in verts}
-    return vals.pop() if len(vals) == 1 else None
-
-
 def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[IntVec]]:
     """The translates as one row table ``(normals, offsets)``.
 
@@ -98,7 +96,8 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[Int
     rows = constraint_rows(q.translate_base.desc)
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
-    consts = [_constant_value(u, tverts) for u, _, _ in rows]
+    values = ({dot(u, v) for v in tverts} for u, _, _ in rows)
+    consts = [vals.pop() if len(vals) == 1 else None for vals in values]  # the value of a constant row
     normals = tuple(u for (u, _, _), val in zip(rows, consts) if val is None)
 
     def row(t: IntVec) -> IntVec | None:
@@ -130,7 +129,7 @@ def _row_index(offsets: list[IntVec], nrows: int) -> list[tuple[list[int], list[
     index = []
     for k in range(nrows):
         col = sorted(((r[k], i) for i, r in enumerate(offsets)), reverse=True)
-        at_least = dict(zip((off for off, _ in col), accumulate((1 << i for _, i in col), operator.or_)))
+        at_least = dict(zip((off for off, _ in col), accumulate((1 << i for _, i in col), or_)))
         index.append(([*at_least][::-1], [*at_least.values()][::-1] + [0]))
     return index
 
@@ -141,36 +140,39 @@ def _row_index(offsets: list[IntVec], nrows: int) -> list[tuple[list[int], list[
 
 @dataclass(frozen=True)
 class _Piece:
-    """A closed polytope produced by cutting: its vertices, each ``x`` as the
-    homogeneous integer vector ``(w*x, w)`` with ``w > 0`` and gcd 1, in no
-    particular order, and their incidences.  Bit ``k`` of ``masks[i]`` is set
-    iff constraint ``k`` (a target facet or a cut made so far) is tight at
-    vertex ``i``; that is all the adjacency test of ``_piece_edges`` needs."""
+    """A closed polytope produced by cutting: its vertices, in no particular
+    order, each ``x`` as the integer vector ``(u_1.wx, ..., u_K.wx, wx, w)``
+    over the row normals ``u_k`` of the table, ``w > 0``, gcd 1, and their
+    incidences.  Bit ``k`` of ``masks[i]`` is set iff constraint ``k`` (a
+    target facet or a cut made so far) is tight at vertex ``i``; that is all
+    the adjacency test of ``_piece_edges`` needs."""
 
     vertices: tuple[IntVec, ...]
     masks: tuple[int, ...]
 
 
-def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | None, _Piece | None, list[int]]:
-    """Split a piece along normal.x = offset into (<= side, >= side, cut values).
+def _cut_piece(piece: _Piece, k: int, offset: int) -> tuple[_Piece | None, _Piece | None, list[int]]:
+    """Split a piece along row k's hyperplane u_k.x = offset into (<= side,
+    >= side, cut values).
 
-    A vertex ``V`` takes the cut value ``(normal, -offset).V``, an integer of
-    the sign of ``normal.x - offset``.  The masks are updated, never
-    recomputed.  The cut takes a bit no vertex uses; a kept vertex gains it
-    iff it lies on the hyperplane.  Only an edge ``(i, j)`` with cut values
-    ``vi < 0 < vj`` crosses the hyperplane, so only those vertex pairs take
-    the adjacency test.  Its crossing ``vi*Vj - vj*Vi`` (made canonical) lies
-    strictly inside the edge, so it repeats no vertex, and gets ``masks[i] &
-    masks[j]`` plus the cut bit: a constraint valid on the piece is tight at
-    an interior point of a segment iff it is tight at both ends.
+    A vertex ``V`` takes the cut value ``V[k] - offset*V[-1]``, an integer of
+    the sign of ``u_k.x - offset``.  The masks are updated, never recomputed.
+    The cut takes a bit no vertex uses; a kept vertex gains it iff it lies on
+    the hyperplane.  Only an edge ``(i, j)`` with cut values ``vi < 0 < vj``
+    crosses the hyperplane, so only those vertex pairs take the adjacency
+    test.  Its crossing ``vi*Vj - vj*Vi`` (made canonical) lies strictly
+    inside the edge, so it repeats no vertex, and gets ``masks[i] & masks[j]``
+    plus the cut bit: a constraint valid on the piece is tight at an interior
+    point of a segment iff it is tight at both ends.  The row columns are
+    integer combinations of the ``(wx, w)`` entries, so the crossing's are its
+    row values, and they leave its gcd that of its ``(wx, w)`` entries.
     """
-    h = (*normal, -offset)
-    vals = [dot(h, v) for v in piece.vertices]
-    if all(v >= 0 for v in vals):
+    vals = [V[k] - offset * V[-1] for V in piece.vertices]
+    if min(vals) >= 0:
         return None, piece, vals
-    if all(v <= 0 for v in vals):
+    if max(vals) <= 0:
         return piece, None, vals
-    cut = 1 << reduce(operator.or_, piece.masks).bit_length()
+    cut = 1 << reduce(or_, piece.masks).bit_length()
     kept = [(v, m | cut if s == 0 else m, s) for v, m, s in zip(piece.vertices, piece.masks, vals)]
     below = [i for i, s in enumerate(vals) if s < 0]
     above = [j for j, s in enumerate(vals) if s > 0]
@@ -185,9 +187,9 @@ def _cut_piece(piece: _Piece, normal: IntVec, offset: int) -> tuple[_Piece | Non
     return _Piece(*zip(*neg)), _Piece(*zip(*pos)), vals
 
 
-def _subtract_branches(piece: _Piece, normals: tuple[IntVec, ...], offs: IntVec, mode: Mode) -> list[_Piece]:
-    """Carve one translate, given by its offsets ``offs`` over the rows
-    ``normals``, out of the piece, one row at a time.
+def _subtract_branches(piece: _Piece, offs: IntVec, mode: Mode) -> list[_Piece]:
+    """Carve one translate, given by its offsets ``offs`` over the table's
+    rows, out of the piece, one row at a time.
 
     Closed mode: branch interiors are strictly outside the translate and the
     dropped remainder lies inside it.  A translate made thin by a varying
@@ -198,16 +200,15 @@ def _subtract_branches(piece: _Piece, normals: tuple[IntVec, ...], offs: IntVec,
 
     Relative-interior mode: the branch union is exactly the piece minus the
     open region.  A piece on the <= side of a row still yields its slice on
-    that hyperplane, the face of its tight vertices with their masks; the
-    hyperplane needs no bit there, as a bit set at every vertex of a piece
-    does not change the edge test.
+    that hyperplane, the face of its tight vertices with their masks; a bit
+    for the hyperplane, set at every vertex, would not change the edge test.
     """
     branches: list[_Piece] = []
     rest: _Piece | None = piece
-    for normal, c in zip(normals, offs):
+    for k, c in enumerate(offs):
         if rest is None:
             break
-        rest, outside, vals = _cut_piece(rest, normal, c)
+        rest, outside, vals = _cut_piece(rest, k, c)
         if outside is None and mode is Mode.RELATIVE_INTERIOR:  # rest came back whole: vals are its own
             on = [(v, m) for v, m, s in zip(rest.vertices, rest.masks, vals) if s == 0]
             outside = _Piece(*zip(*on)) if on else None
@@ -224,25 +225,29 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     <= off`` iff ``ceil(u.num / den) <= off`` and ``u.b < off`` iff
     ``floor(u.num / den) < off``, so each row value is rounded once and looked
     up in the row's index; the remaining translates in every mask found
-    contain ``b``, and the lowest bit, the first of them, is carved out.  Only
-    a returned witness becomes a ``Fraction``.  Closed pieces need no
-    dimension test: ``_cut_piece`` splits a piece only when vertices lie
-    strictly on both sides, so both parts keep its dimension, and closed mode
-    only cuts, starting from the target.
+    contain ``b``, and the lowest bit, the first of them, is carved out.
+    Closed pieces need no dimension test: ``_cut_piece`` splits a piece only
+    when vertices lie strictly on both sides, so both parts keep its
+    dimension, and closed mode only cuts, starting from the target.
 
-    Over ``scale = L`` vertex ``V = (w*x, w)`` takes the row value ``u.V *
-    (L / w) = L*(u.x)``.  Those values sum to ``u.num``; their maximum
-    ``top``, rounded as a barycenter value is but over ``L``, finds the
-    translates that hold the piece, or whose open region does.  In the open
-    mode a ``top`` divisible by ``L`` also admits the offset ``top / L`` when
-    the vertices reaching it share a target facet bit (cuts take higher bits):
-    the face they span lies in the target's boundary.  A piece that such a
-    translate ``T`` holds, or holds within relint(target), is skipped, and the
-    witness is kept: every descendant is carved from other translates, so
-    ``T`` stays in its ``remaining`` and covers each descendant barycenter
-    the search tests, which in the open mode lies in relint(target) as pieces
-    in a target facet are skipped first.  The depth-first order is otherwise
-    unchanged, and the budget still counts every popped piece.
+    In the open mode a piece lies in the target's boundary iff one facet bit
+    is set at every vertex.  Facet bits are exact, as cuts take higher bits:
+    each piece cut uses a bit at or above the last facet's (the start piece
+    that facet, a split part its cut, a slice off the boundary its cut).
+
+    Vertex ``V`` takes the row value ``V[k] * (L / w) = L*(u_k.x)``, read
+    from its column.  Those values sum to ``u_k.num``; their
+    maximum ``top``, rounded as a barycenter value is but over ``L``, finds
+    the translates that hold the piece, or whose open region does.  In the
+    open mode a ``top`` divisible by ``L`` also admits the offset ``top / L``
+    when the vertices reaching it share a target facet bit: the face they
+    span lies in the target's boundary.  A piece that
+    such a translate ``T`` holds, or holds within relint(target), is skipped,
+    and the witness is kept: every descendant is carved from other
+    translates, so ``T`` stays in its ``remaining`` and covers each
+    descendant barycenter the search tests, which in the open mode lies in
+    relint(target) as pieces in a target facet are skipped first.  The budget
+    counts every popped piece.
     """
     target = q.target.desc
     normals, offsets = _classify_translates(q)
@@ -250,7 +255,10 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
     facet_bits = (1 << len(target.facets)) - 1
     budget = cell_budget()
-    start = _Piece(tuple((*v, 1) for v in target.vertices), tuple(_tight_masks(target.vertices, target.facets)))
+    start = _Piece(
+        tuple((*(dot(u, v) for u in normals), *v, 1) for v in target.vertices),
+        tuple(_tight_masks(target.vertices, target.facets)),
+    )
     stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
     processed = 0
     while stack:
@@ -261,31 +269,31 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
                 f"covering subtraction exceeded {budget} pieces; "
                 f"raise {CELL_BUDGET_ENV} to allow more"
             )
-        scale = lcm(*(v[-1] for v in piece.vertices))
-        *num, den = map(sum, zip(*([x * (scale // v[-1]) for x in v] for v in piece.vertices)))
-        # a piece inside the target sits in its boundary iff a facet
-        # hyperplane contains it, iff its barycenter does
-        if q.mode is Mode.RELATIVE_INTERIOR and any(dot(u, num) == c * den for u, c in target.facets):
+        if not slack and reduce(and_, piece.masks) & facet_bits:  # a piece in the target's boundary
             continue
+        cols = list(zip(*piece.vertices))
+        scale = lcm(*cols[-1])
+        fs = [scale // w for w in cols[-1]]
+        den = len(fs) * scale
         hits = whole = remaining
-        for u, (levels, masks) in zip(normals, index):
-            vals = [dot(u, V) * (scale // V[-1]) for V in piece.vertices]  # L*(u.x) per vertex, L = scale
+        for col, (levels, masks) in zip(cols, index):
+            vals = list(map(mul, col, fs))  # L*(u_k.x) per vertex, L = scale
             hits &= masks[bisect_left(levels, (sum(vals) - slack) // den + 1)]
             if not whole:
                 continue
             top = max(vals)
             key = (top - slack) // scale + 1
             if not slack and top % scale == 0 and reduce(
-                operator.and_, (m for m, v in zip(piece.masks, vals) if v == top)
+                and_, (m for m, v in zip(piece.masks, vals) if v == top)
             ) & facet_bits:  # the top face lies in a target facet
                 key -= 1
             whole &= masks[bisect_left(levels, key)]
         if not hits:
-            return tuple(norm_scalar(Fraction(x, den)) for x in num)
+            return tuple(norm_scalar(Fraction(sum(map(mul, c, fs)), den)) for c in cols[len(normals):-1])
         if whole:
             continue
         pick = hits & -hits
-        for branch in reversed(_subtract_branches(piece, normals, offsets[pick.bit_length() - 1], q.mode)):
+        for branch in reversed(_subtract_branches(piece, offsets[pick.bit_length() - 1], q.mode)):
             stack.append((branch, remaining ^ pick))
     return None
 

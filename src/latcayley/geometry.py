@@ -179,8 +179,9 @@ class DualDescription:
     normals lie in the direction space of the affine hull and point outward;
     equalities are the canonical (RREF-derived) cutting hyperplanes of the
     affine hull, each normal's first nonzero entry positive;
-    dim + len(equalities) == ambient_dim.  Structural equality therefore
-    decides equality of the underlying sets.
+    dim + len(equalities) == ambient_dim and dim < len(vertices), the affine
+    rank of the vertices being trusted from their builder, ``convex_hull``.
+    Structural equality therefore decides equality of the underlying sets.
     """
 
     ambient_dim: int
@@ -211,6 +212,8 @@ class DualDescription:
             raise DimensionMismatch("vertex length disagrees with ambient_dim")
         if self.dim + len(self.equalities) != self.ambient_dim:
             raise GeometryError("dim + number of equalities must equal ambient_dim")
+        if self.dim >= len(verts):
+            raise GeometryError("a polytope of dimension d needs at least d + 1 vertices")
 
     @property
     def is_lattice(self) -> bool:

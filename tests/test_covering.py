@@ -517,22 +517,41 @@ P4 = ((-1, 0, -1, 1), (-1, 0, 0, 1), (0, 1, -1, 0), (1, -1, 0, -1), (1, 0, 0, -1
 P4_TRIPLE_PICKS = {"2cn": 477, "cond01": 2202}
 
 
-def test_whole_piece_skip_pins_the_pick_count(monkeypatch):
-    # every piece that one remaining translate already holds is skipped, not
-    # carved; a skip that never fires carves 1,776 and 8,561 times
-    picks = []
+@pytest.fixture
+def picks(monkeypatch):
+    """The arguments of every carve the subtraction makes, in order."""
+    made = []
 
     def counting(*args):
-        picks.append(args)
+        made.append(args)
         return _subtract_branches(*args)
 
     monkeypatch.setattr(covering, "_subtract_branches", counting)
+    return made
+
+
+def test_whole_piece_skip_pins_the_pick_count(picks):
+    # every piece that one remaining translate already holds is skipped, not
+    # carved; a skip that never fires carves 1,776 and 8,561 times
     triple = dilate(P(*P4), 3)
     for decide in (is_2_convex_normal, has_interior_translate_cover):
         picks.clear()
         report = decide(triple)
         assert report.verdict is Verdict.HOLDS
         assert len(picks) == P4_TRIPLE_PICKS[report.property]
+
+
+# a seeded 5-simplex dilated 4x: 5-D covering at a size that runs in seconds
+P5_QUADRUPLE_PICKS = {"2cn": 1611, "cond01": 7529}
+
+
+def test_five_dimensional_dilate_pins_the_pick_count(picks):
+    quadruple = dilate(random_lattice_polytope(3, 5, 5, 1, 6), 4)
+    for decide in (is_2_convex_normal, has_interior_translate_cover):
+        picks.clear()
+        report = decide(quadruple)
+        assert report.verdict is Verdict.HOLDS
+        assert len(picks) == P5_QUADRUPLE_PICKS[report.property]
 
 
 @pytest.mark.parametrize("mode", [Mode.CLOSED, Mode.RELATIVE_INTERIOR])
@@ -637,10 +656,11 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     """Why closed-mode subtraction needs no dimension test: a cut returns the
     piece whole or splits it into two parts of its own dimension.  Every part,
     and every relative-interior slice, holds its own hull's vertices, each as
-    a canonical homogeneous vector, and carries the incidence masks that hull
-    gives, up to bits that do not change the edge test."""
+    a canonical extended vector whose row columns are its values on the rows,
+    and carries the incidence masks that hull gives, up to bits that do not
+    change the edge test."""
     def rational(piece):
-        return [tuple(norm_scalar(Fraction(x, v[-1])) for x in v[:-1]) for v in piece.vertices]
+        return [tuple(norm_scalar(Fraction(x, v[-1])) for x in v[K:-1]) for v in piece.vertices]
 
     def piece_dim(piece):
         verts = rational(piece)
@@ -648,39 +668,50 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
 
     def assert_masks_exact(piece):
         assert all(v[-1] > 0 and math.gcd(*v) == 1 for v in piece.vertices)
+        assert all(list(v[:K]) == [dot(u, v[K:-1]) for u in rows] for v in piece.vertices)
         verts = rational(piece)
         hull = convex_hull(verts)
         assert hull.vertices == tuple(sorted(verts))
         edges = _piece_edges(verts, _tight_masks(verts, hull.facets))
         assert _piece_edges(piece.vertices, piece.masks) == edges
 
-    def random_row(piece):
-        # u.x = u.x_v + r at a vertex x_v = X/w, scaled by w to integers; r = 0
-        # cuts through that vertex
-        normal = tuple(rng.randint(-2, 2) for _ in range(ambient))
-        *X, w = rng.choice(piece.vertices)
-        return tuple(w * x for x in normal), dot(normal, X) + rng.randint(-1, 1) * w
+    def random_cut(piece, rows=None):
+        # a row and the floor of one vertex's value on it, moved by -1, 0 or
+        # 1; 0 cuts through a lattice vertex
+        k = rng.choice(rows or range(K))
+        V = rng.choice(piece.vertices)
+        return k, V[k] // V[-1] + rng.randint(-1, 1)
 
     rng = random.Random(seed)
     ambient = rng.randint(dim, 3)
     P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=2)
+    # the rows: the target's facet normals, then random normals and their
+    # negatives, so that every facet of a part lies on the <= side of a row
+    randoms = [tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(3)]
+    rows = [u for u, _ in P_.desc.facets] + randoms + [tuple(-x for x in u) for u in randoms]
+    K = len(rows)
     verts = P_.desc.vertices
-    pieces = [_Piece(tuple((*v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets)))]
+    pieces = [_Piece(
+        tuple((*(dot(u, v) for u in rows), *v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets))
+    )]
     for _ in range(4):
         piece = pieces.pop(rng.randrange(len(pieces)))
-        parts = [p for p in _cut_piece(piece, *random_row(piece))[:2] if p is not None]
+        parts = [p for p in _cut_piece(piece, *random_cut(piece))[:2] if p is not None]
         assert all(piece_dim(p) == piece_dim(piece) == dim for p in parts)
         for part in parts:
             assert_masks_exact(part)
         pieces += parts
-    # relative-interior carving: a row flush against a facet of the piece
-    # yields that facet as a slice, then a random row cuts the rest
+    # relative-interior carving: a row flush against the piece yields the
+    # face it touches as a slice, and a random row cuts the rest; every other
+    # row's offset lies above the piece
     piece = rng.choice(pieces)
-    normal, c = rng.choice(convex_hull(rational(piece)).facets)
-    c = Fraction(c)
-    flush = tuple(c.denominator * x for x in normal), c.numerator
-    (u, off) = random_row(piece)
-    for part in _subtract_branches(piece, (flush[0], u), (flush[1], off), Mode.RELATIVE_INTERIOR):
+    tops = [max(Fraction(V[k], V[-1]) for V in piece.vertices) for k in range(K)]
+    flush = rng.choice([k for k, top in enumerate(tops) if top.denominator == 1])
+    offs = [math.floor(top) + 1 for top in tops]
+    offs[flush] = int(tops[flush])
+    k, off = random_cut(piece, [k for k in range(K) if k != flush])
+    offs[k] = off
+    for part in _subtract_branches(piece, tuple(offs), Mode.RELATIVE_INTERIOR):
         assert_masks_exact(part)
 
 

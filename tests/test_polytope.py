@@ -98,6 +98,7 @@ _SQUARE, _SEGMENT = P((0, 0), (1, 0), (0, 1), (1, 1)), P((0,), (1,))
     (GeometryError, lambda: is_tuple_idp([])),
     (GeometryError, lambda: DualDescription(1, 0, (), (), ())),
     (GeometryError, lambda: DualDescription(2, 1, ((0, 0),), (), ())),
+    (GeometryError, lambda: DualDescription(2, 2, ((0, 0),), (), ())),
     (GeometryError, lambda: LatticePolytope(convex_hull([(Fraction(1, 2),)]))),
     (GeometryError, lambda: random_lattice_polytope(0, 0, 0)),
     (DimensionMismatch, lambda: convex_hull([(0,), (0, 1)])),
