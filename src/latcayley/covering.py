@@ -14,12 +14,11 @@ one remaining translate already holds is skipped, not carved: its highest
 vertex value on each row is looked up in the same index (in the relative-
 interior mode one offset lower when the face reaching it lies in a target
 facet, as the search never needs a boundary point covered).  A piece is its
-vertices, as homogeneous integer vectors led by their row values (the slack
-matrix of the double description method), with one incidence bitmask each,
-which every cut updates exactly, so its edges come from the combinatorial
-adjacency test.  Row values are linear in the homogeneous coordinates, so a
-cut's new vertex carries its endpoints' combination of them, and neither a
-cut nor a lookup takes a dot product.  It is the only covering decider;
+vertices, homogeneous integer vectors led by their row values (the slack
+matrix of the double description method; linear, so a cut's new vertex
+carries its endpoints' combination and no cut or lookup takes a dot product),
+with one incidence bitmask each, which every cut updates exactly, so its edges
+come from the combinatorial adjacency test.  It is the only covering decider;
 ``is_2_convex_normal`` and ``has_interior_translate_cover`` pose their
 questions through it.
 
@@ -80,6 +79,11 @@ class CoverageQuery:
 # the translates' row table
 
 
+def _constant_value(normal: IntVec, verts: tuple[IntVec, ...]) -> int | None:
+    vals = {dot(normal, v) for v in verts}
+    return vals.pop() if len(vals) == 1 else None
+
+
 def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[IntVec]]:
     """The translates as one row table ``(normals, offsets)``.
 
@@ -96,8 +100,7 @@ def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[Int
     rows = constraint_rows(q.translate_base.desc)
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
-    values = ({dot(u, v) for v in tverts} for u, _, _ in rows)
-    consts = [vals.pop() if len(vals) == 1 else None for vals in values]  # the value of a constant row
+    consts = [_constant_value(u, tverts) for u, _, _ in rows]
     normals = tuple(u for (u, _, _), val in zip(rows, consts) if val is None)
 
     def row(t: IntVec) -> IntVec | None:
@@ -228,26 +231,24 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     contain ``b``, and the lowest bit, the first of them, is carved out.
     Closed pieces need no dimension test: ``_cut_piece`` splits a piece only
     when vertices lie strictly on both sides, so both parts keep its
-    dimension, and closed mode only cuts, starting from the target.
-
-    In the open mode a piece lies in the target's boundary iff one facet bit
-    is set at every vertex.  Facet bits are exact, as cuts take higher bits:
-    each piece cut uses a bit at or above the last facet's (the start piece
-    that facet, a split part its cut, a slice off the boundary its cut).
+    dimension, and closed mode only cuts, starting from the target.  In the
+    open mode a piece lies in the target's boundary iff one facet bit is set
+    at every vertex.  Facet bits are exact, as cuts take higher bits: each
+    piece cut uses a bit at or above the last facet's (the start piece that
+    facet, a split part its cut, a slice off the boundary its cut).
 
     Vertex ``V`` takes the row value ``V[k] * (L / w) = L*(u_k.x)``, read
-    from its column.  Those values sum to ``u_k.num``; their
-    maximum ``top``, rounded as a barycenter value is but over ``L``, finds
-    the translates that hold the piece, or whose open region does.  In the
-    open mode a ``top`` divisible by ``L`` also admits the offset ``top / L``
-    when the vertices reaching it share a target facet bit: the face they
-    span lies in the target's boundary.  A piece that
-    such a translate ``T`` holds, or holds within relint(target), is skipped,
-    and the witness is kept: every descendant is carved from other
-    translates, so ``T`` stays in its ``remaining`` and covers each
-    descendant barycenter the search tests, which in the open mode lies in
-    relint(target) as pieces in a target facet are skipped first.  The budget
-    counts every popped piece.
+    from its column.  Those values sum to ``u_k.num``; their maximum ``top``,
+    rounded as a barycenter value is but over ``L``, finds the translates that
+    hold the piece, or whose open region does.  In the open mode a ``top``
+    divisible by ``L`` also admits the offset ``top / L`` when the vertices
+    reaching it share a target facet bit: the face they span lies in the
+    target's boundary.  A piece that such a translate ``T`` holds, or holds
+    within relint(target), is skipped, and the witness is kept: every
+    descendant is carved from other translates, so ``T`` stays in its
+    ``remaining`` and covers each descendant barycenter the search tests,
+    which in the open mode lies in relint(target) as pieces in a target facet
+    are skipped first.  The budget counts every popped piece.
     """
     target = q.target.desc
     normals, offsets = _classify_translates(q)
@@ -255,10 +256,9 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
     facet_bits = (1 << len(target.facets)) - 1
     budget = cell_budget()
-    start = _Piece(
-        tuple((*(dot(u, v) for u in normals), *v, 1) for v in target.vertices),
-        tuple(_tight_masks(target.vertices, target.facets)),
-    )
+    tverts = target.vertices
+    start_verts = tuple((*(dot(u, v) for u in normals), *v, 1) for v in tverts)
+    start = _Piece(start_verts, tuple(_tight_masks(tverts, target.facets)))
     stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
     processed = 0
     while stack:
