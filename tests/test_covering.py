@@ -677,7 +677,7 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
 
     def random_cut(piece, rows=None):
         # a row and the floor of one vertex's value on it, moved by -1, 0 or
-        # 1; 0 cuts through a lattice vertex
+        # 1; 0 cuts through the vertex when that value is an integer
         k = rng.choice(rows or range(K))
         V = rng.choice(piece.vertices)
         return k, V[k] // V[-1] + rng.randint(-1, 1)
@@ -685,10 +685,10 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     rng = random.Random(seed)
     ambient = rng.randint(dim, 3)
     P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=2)
-    # the rows: the target's facet normals, then random normals and their
+    # the rows: the target's facet normals and random normals, then their
     # negatives, so that every facet of a part lies on the <= side of a row
-    randoms = [tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(3)]
-    rows = [u for u, _ in P_.desc.facets] + randoms + [tuple(-x for x in u) for u in randoms]
+    rows = [u for u, _ in P_.desc.facets] + [tuple(rng.randint(-2, 2) for _ in range(ambient)) for _ in range(3)]
+    rows += [tuple(-x for x in u) for u in rows]
     K = len(rows)
     verts = P_.desc.vertices
     pieces = [_Piece(
