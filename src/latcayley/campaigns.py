@@ -12,6 +12,7 @@ s * 1_000_003 + k, so reports are reproducible and independent of scheduling.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -19,7 +20,7 @@ from itertools import product
 from . import __version__
 from .covering import has_interior_translate_cover, is_2_convex_normal
 from .generator import random_lattice_polytope
-from .geometry import GeometryError
+from .geometry import DualDescription, GeometryError, dot
 from .polytope import (
     LatticePolytope,
     cayley_slice,
@@ -112,27 +113,44 @@ def _sub_seed(rng: random.Random) -> int:
 def _poly2(rng: random.Random, config: CampaignConfig, dim: int | None = None) -> LatticePolytope:
     """Random polytope in ambient dimension 2, of dimension 1 or 2 unless given.
 
-    A random unimodular transform plus translation then varies the embedding,
-    so axis-aligned samples gain generic directions; it preserves every
-    lattice-equivalence-invariant property.
+    A random unimodular transform plus translation (``_shear``, no second hull)
+    then varies the embedding, so axis-aligned samples gain generic directions;
+    it preserves every lattice-equivalence-invariant property.
     """
     if dim is None:
         dim = rng.randint(1, 2)
     P = random_lattice_polytope(_sub_seed(rng), 2, dim, min(config.coord_bound, 2))
     a, b = rng.randint(-2, 2), rng.randint(-2, 2)
     tx, ty = rng.randint(-1, 1), rng.randint(-1, 1)
-    return _shear(P.vertices, a, b, (tx, ty))
+    return _shear(P, a, b, (tx, ty))
 
 
-def _shear(points, a: int, b: int, shift=(0, 0)) -> LatticePolytope:
-    """The hull of the points under the unimodular shear (x, y) -> (x1, b*x1 + y),
-    x1 = x + a*y, followed by the given translation."""
+def _shear(P: LatticePolytope, a: int, b: int, shift=(0, 0)) -> LatticePolytope:
+    """P under the unimodular shear (x, y) -> (x1, b*x1 + y), x1 = x + a*y, and the translation,
+    mapped without a hull: U = [[1, a], [b, ab + 1]] has determinant 1, so a normal u goes to
+    U^-T u, still primitive and outward, with its offset read at the re-sorted image vertices.
+    A segment's equality normal e is re-signed to a positive leading entry and its facet normals
+    are projected back orthogonal to e, (e.e) u - (e.u) e over their gcd.  A point's equalities
+    are the unit rows."""
     tx, ty = shift
-    out = []
-    for x, y in points:
-        x1 = x + a * y
-        out.append((x1 + tx, b * x1 + y + ty))
-    return from_vertices(out)
+    verts = sorted((x + a * y + tx, b * (x + a * y) + y + ty) for x, y in P.vertices)
+
+    def dual(u):  # U^-T u, so that dual(u).(Up) = u.p
+        return ((a * b + 1) * u[0] - b * u[1], u[1] - a * u[0])
+
+    eqs = [((0, 1), verts[0][1]), ((1, 0), verts[0][0])] if P.dim == 0 else []
+    for e in (dual(w) for w, _ in P.desc.equalities if P.dim == 1):
+        e = e if e > (0, 0) else (-e[0], -e[1])
+        eqs.append((e, dot(e, verts[0])))
+    facets = []
+    for u, _ in P.desc.facets:
+        u = dual(u)
+        for e, _ in eqs:
+            u = tuple(dot(e, e) * x - dot(e, u) * y for x, y in zip(u, e))
+        g = math.gcd(*u)
+        u = tuple(x // g for x in u)
+        facets.append((u, max(dot(u, v) for v in verts)))
+    return LatticePolytope(DualDescription(2, P.dim, tuple(verts), tuple(sorted(facets)), tuple(eqs)))
 
 
 def _poly(rng: random.Random, dim: int, bound: int) -> LatticePolytope:
@@ -361,7 +379,7 @@ def _gorenstein_pair(rng) -> list[LatticePolytope]:
     """A pair whose Minkowski sum is a centrally symmetric reflexive square,
     modulo a random unimodular change of coordinates (applied to both)."""
     a, b = rng.randint(-1, 1), rng.randint(-1, 1)
-    return [_shear([(-1, 0), (1, 0)], a, b), _shear([(0, -1), (0, 1)], a, b)]
+    return [_shear(from_vertices(seg), a, b) for seg in ([(-1, 0), (1, 0)], [(0, -1), (0, 1)])]
 
 
 def _run_bn_gorenstein(rng, config, trial, out):

@@ -262,7 +262,7 @@ def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Constr
             g = math.gcd(*e)
             rows.append((next(c for c, x in enumerate(e) if x), [x // g for x in e]))
             simplex.append(i)
-    red, _ = _echelon(nullspace([row for _, row in rows], n))
+    red = _echelon(nullspace([row for _, row in rows], n))[0] if len(rows) < n else []  # rows span R^n: no equality
     eqs = sorted((tuple(row), norm_scalar(dot(row, pts[0]))) for row in red)
     return scale, ipts, simplex, tuple(eqs)
 
@@ -288,11 +288,19 @@ def _beneath_beyond(
     def spread(i: int) -> int:  # (dim+1)^2 times the squared distance from the barycenter
         return sum(((dim + 1) * x - y) ** 2 for x, y in zip(pts[i], inner))
 
+    # Column j of L M^-1, M the edges p_j - p_0 over the equality normals and L the lcm of the
+    # pivots of [M | I], is orthogonal to every other row of M: it is normal to the facet
+    # opposite p_j.  Minus the sum of the edge columns is normal to the facet opposite p_0.
+    rows = [[a - b for a, b in zip(pts[i], pts[simplex[0]])] for i in simplex[1:]] + eq_normals
+    red, _ = _echelon([[*row, *(int(i == j) for j in range(len(rows)))] for i, row in enumerate(rows)])
+    lcm = math.lcm(*(row[r] for r, row in enumerate(red)))
+    inv = [[x * (lcm // row[r]) for x in row[len(rows):]] for r, row in enumerate(red)]
+    cols = [[-sum(row[:dim]) for row in inv]] + [[row[j] for row in inv] for j in range(dim)]
     boundary = {}
-    for corners in combinations(simplex, dim):
-        p0 = pts[corners[0]]
-        (u,) = nullspace([[a - b for a, b in zip(pts[i], p0)] for i in corners[1:]] + eq_normals, len(p0))
-        c = dot(u, p0)
+    for u, corners in zip(reversed(cols), combinations(simplex, dim)):  # corners omit simplex[dim], ..., simplex[0]
+        g = math.gcd(*u)
+        u = tuple(x // g for x in u)
+        c = dot(u, pts[corners[0]])
         boundary[corners] = (tuple(-x for x in u), -c) if dot(u, inner) > (dim + 1) * c else (u, c)
     ridges: defaultdict[tuple[int, ...], list] = defaultdict(list)  # ridge -> the boundary simplices on it
     for s in boundary:
@@ -376,7 +384,7 @@ def convex_hull(points) -> DualDescription:
         for i in corners:
             masks[i] |= bit
     verts = [cand[i] for i, m in masks.items() if not any(j != i and k & m == m for j, k in masks.items())]
-    facets = {(normal, norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
+    facets = {(normal, c if scale == 1 else norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
     return DualDescription(n, len(simplex) - 1, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
 
 

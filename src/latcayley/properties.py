@@ -243,8 +243,9 @@ def is_tuple_idp(Ps: list[LatticePolytope]) -> PropertyReport:
 def level_index(P: LatticePolytope) -> LevelData:
     """Smallest t with an interior lattice point in tP, and those points.
 
-    Terminates: P contains a unimodular image of a d-simplex, so (d+1)P has
-    an interior lattice point.
+    Terminates: P contains a lattice d-simplex S, v_0, ..., v_d (not always a
+    unimodular one: the Reeve tetrahedra contain none), and v_0 + ... + v_d
+    lies in relint((d+1)S), inside relint((d+1)P) as S spans aff P.
     """
     for t in range(1, P.dim + 2):
         inner = interior_lattice_points(dilate(P, t))

@@ -8,6 +8,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from latcayley import geometry
 from latcayley import (
     DualDescription,
     GeometryError,
@@ -361,6 +362,27 @@ def test_boundary_simplex_normals_are_kernel_vectors(pts, rnd):
     cand = sorted(set(pts))
     rnd.shuffle(cand)
     _assert_boundary_normals_are_kernel_vectors(cand)
+
+
+@pytest.mark.parametrize(
+    "pts, kernels",
+    [
+        ([(0, 0), (3, 1), (1, 4), (2, 2)], 0),
+        ([(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 4), (1, 1, 1)], 0),
+        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 3), (1, 1, 1, 1), (2, 0, 1, 0)], 0),
+        ([(0, 0, 0), (2, 4, 6), (1, 2, 3)], 1),
+        ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0)], 1),
+        ([(1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 3)], 1),
+    ],
+)
+def test_hull_start_needs_no_kernel_call(pts, kernels, monkeypatch):
+    # the starting facets are the columns of one inverse: only the equalities
+    # of a lower-dimensional hull take a kernel
+    calls = []
+    monkeypatch.setattr(geometry, "nullspace", lambda *args: calls.append(args) or nullspace(*args))
+    hull = convex_hull(pts)
+    assert len(calls) == kernels
+    assert hull == _reference_hull(pts)
 
 
 _entries = st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))

@@ -19,6 +19,7 @@ from latcayley import (
     Verdict,
     cayley_sum,
     dilate,
+    from_vertices,
     is_idp,
     is_tuple_idp,
     level_index,
@@ -29,7 +30,7 @@ from latcayley import (
     save_polytope,
     verify_theorem,
 )
-from latcayley import campaigns, properties, reproduce
+from latcayley import campaigns, polytope, properties, reproduce
 from latcayley.campaigns import THEOREM_IDS
 from latcayley.cli import CHECKS, build_parser, main
 from latcayley.geometry import CELL_BUDGET_ENV
@@ -256,6 +257,52 @@ def campaign_pair(trial):
     rng = random.Random(trial)
     config = CampaignConfig("thm_0_4_equiv", trials=1, seed=0)
     return [campaigns._poly2(rng, config) for _ in range(2)]
+
+
+def test_poly2_hulls_each_draw_once(monkeypatch):
+    # the shear maps the drawn polytope's description: every hull of a draw is
+    # made inside random_lattice_polytope (one per sample it tries)
+    hulls, inside = [0], [0]
+    draw, hull = campaigns.random_lattice_polytope, polytope.convex_hull
+
+    def counting_hull(points):
+        hulls[0] += 1
+        return hull(points)
+
+    def counting_draw(*args):
+        before = hulls[0]
+        P = draw(*args)
+        inside[0] += hulls[0] - before
+        return P
+
+    monkeypatch.setattr(polytope, "convex_hull", counting_hull)
+    monkeypatch.setattr(campaigns, "random_lattice_polytope", counting_draw)
+    rng = random.Random(5)
+    config = CampaignConfig("lemma_1_1", trials=1, seed=0)
+    draws = [campaigns._poly2(rng, config) for _ in range(40)]
+    assert {P.dim for P in draws} == {1, 2}
+    assert hulls[0] == inside[0] >= len(draws)
+
+
+def _sheared(points, a, b, shift=(0, 0)):
+    tx, ty = shift
+    return [(x + a * y + tx, b * (x + a * y) + y + ty) for x, y in points]
+
+
+def test_shear_image_equals_the_rehull():
+    # the mapped description, field by field, against a hull of the mapped vertices
+    fields = ("ambient_dim", "dim", "vertices", "facets", "equalities")
+    for dim, seed in product((0, 1, 2), range(3)):
+        P = random_lattice_polytope(seed, 2, dim, 3, dim + 2 + seed)
+        assert P.dim == dim
+        for a, b, tx, ty in product(range(-3, 4), range(-3, 4), range(-1, 2), range(-1, 2)):
+            image = campaigns._shear(P, a, b, (tx, ty)).desc
+            hull = from_vertices(_sheared(P.vertices, a, b, (tx, ty))).desc
+            assert [getattr(image, f) for f in fields] == [getattr(hull, f) for f in fields], (P, a, b, tx, ty)
+    for seed in range(20):  # the Gorenstein pair, drawn with its own a, b
+        a, b = (rng := random.Random(seed)).randint(-1, 1), rng.randint(-1, 1)
+        expected = [from_vertices(_sheared(seg, a, b)) for seg in ([(-1, 0), (1, 0)], [(0, -1), (0, 1)])]
+        assert campaigns._gorenstein_pair(random.Random(seed)) == expected
 
 
 def test_factor_criterion_is_cayley_idp():
