@@ -139,7 +139,7 @@ def _shear(P: LatticePolytope, a: int, b: int, shift=(0, 0)) -> LatticePolytope:
         return ((a * b + 1) * u[0] - b * u[1], u[1] - a * u[0])
 
     eqs = [((0, 1), verts[0][1]), ((1, 0), verts[0][0])] if P.dim == 0 else []
-    for e in (dual(w) for w, _ in P.desc.equalities if P.dim == 1):
+    for e in (dual(w) for w, _ in P.desc.equalities if P.dim == 1):  # a segment's one equality
         e = e if e > (0, 0) else (-e[0], -e[1])
         eqs.append((e, dot(e, verts[0])))
     facets = []

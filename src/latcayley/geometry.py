@@ -343,8 +343,8 @@ def convex_hull(points) -> DualDescription:
     the points they enclose are dropped after one visibility scan.  A point
     joins the hull only when it lies strictly beyond some boundary simplex,
     and is then coned to the horizon ridges (those whose other simplex it does
-    not see).  Only the starting simplex's facets take the kernel vector of
-    their edges and the equality normals; a new simplex rotates about its
+    not see).  Only the starting simplex's facets are solved for, as the
+    columns of one inverse (``_beneath_beyond``); a new simplex rotates about its
     horizon ridge (the gift-wrapping pivot of Chand & Kapur, JACM 1970).  For
     the visible simplex (u_v, c_v) and the other one (u_i, c_i),
     (u_v.p - c_v) u_i + (c_i - u_i.p) u_v is a positive combination of outward
