@@ -6,10 +6,12 @@ shared rows of normals (the base's ``constraint_rows``, where an equality is
 two opposite rows), one row of integer offsets per translate, and per row a
 bitmask of the translates at or above each offset.  A piece's barycenter
 values on the rows are rounded (up in closed mode, down in the relative-
-interior one) and looked up, and the lowest remaining translate containing it
-is carved out of the piece along its rows' halfspaces, one at a time.  That
-leaves closed branches whose union is exactly the piece minus the
-translate's region, so the decision is exact in both modes.  A piece that
+interior one) and looked up, and a remaining translate containing it is
+carved out of the piece along its rows' halfspaces, one at a time: of those,
+the lowest left after narrowing them, vertex by vertex, to the ones that also
+hold the piece's vertices.  That leaves closed branches whose union is
+exactly the piece minus the translate's region, so the decision, and with it
+the verdict, is exact in both modes and in any carving order.  A piece that
 one remaining translate already holds is skipped, not carved: its highest
 vertex value on each row is looked up in the same index (in the relative-
 interior mode one offset lower when the face reaching it lies in a target
@@ -17,16 +19,19 @@ facet, as the search never needs a boundary point covered).  A piece is its
 vertices, homogeneous integer vectors led by their row values (the slack
 matrix of the double description method; linear, so a cut's new vertex
 carries its endpoints' combination and no cut or lookup takes a dot product),
-with one incidence bitmask each, which every cut updates exactly, so its edges
-come from the combinatorial adjacency test.  It is the only covering decider;
-``is_2_convex_normal`` and ``has_interior_translate_cover`` pose their
-questions through it.
+with one incidence bitmask each, which every cut updates exactly, so its
+edges come from the combinatorial adjacency test, which skips vertex pairs
+with fewer common bits than an edge of the piece's dimension needs.  It is
+the only covering decider; ``is_2_convex_normal`` and
+``has_interior_translate_cover`` pose their questions through it.
 
 Every decider returns a ``PropertyReport`` whose verdict is Holds (covered)
 or Fails (not covered); the witness of a failure is an uncovered point.  When
 the target region contains an uncovered lattice point, the lexicographically
-smallest one is reported; otherwise an uncovered piece barycenter found in
-deterministic subtraction order is used.
+smallest one is reported; otherwise the first uncovered piece barycenter in
+the canonical subtraction order, which carves the lowest remaining translate
+containing each barycenter.  The search replays that order only when it
+finds an uncovered point, and only from its first carve that differed.
 """
 
 from __future__ import annotations
@@ -148,10 +153,16 @@ class _Piece:
     over the row normals ``u_k`` of the table, ``w > 0``, gcd 1, and their
     incidences.  Bit ``k`` of ``masks[i]`` is set iff constraint ``k`` (a
     target facet or a cut made so far) is tight at vertex ``i``; that is all
-    the adjacency test of ``_piece_edges`` needs."""
+    the adjacency test of ``_piece_edges`` needs.  ``dim`` is the piece's
+    dimension, or 0 when unknown: the start piece takes the target's, both
+    parts of a split keep their parent's, and a relative-interior slice, a
+    face of lower dimension, takes 0.  An edge of a ``dim``-piece lies on at
+    least ``dim - 1`` constraints, so a cut tests only vertex pairs with that
+    many common bits."""
 
     vertices: tuple[IntVec, ...]
     masks: tuple[int, ...]
+    dim: int
 
 
 def _cut_piece(piece: _Piece, k: int, offset: int) -> tuple[_Piece | None, _Piece | None, list[int]]:
@@ -180,14 +191,14 @@ def _cut_piece(piece: _Piece, k: int, offset: int) -> tuple[_Piece | None, _Piec
     below = [i for i, s in enumerate(vals) if s < 0]
     above = [j for j, s in enumerate(vals) if s > 0]
     crossings = []
-    for i, j in _piece_edges(piece.vertices, piece.masks, product(below, above)):
+    for i, j in _piece_edges(piece.vertices, piece.masks, product(below, above), piece.dim - 1):
         vi, vj = vals[i], vals[j]
         x = [vi * b - vj * a for a, b in zip(piece.vertices[i], piece.vertices[j])]
         g = gcd(*x) if x[-1] > 0 else -gcd(*x)
         crossings.append((tuple(c // g for c in x), piece.masks[i] & piece.masks[j] | cut))
     neg = [(v, m) for v, m, s in kept if s <= 0] + crossings
     pos = [(v, m) for v, m, s in kept if s >= 0] + crossings
-    return _Piece(*zip(*neg)), _Piece(*zip(*pos)), vals
+    return _Piece(*zip(*neg), piece.dim), _Piece(*zip(*pos), piece.dim), vals
 
 
 def _subtract_branches(piece: _Piece, offs: IntVec, mode: Mode) -> list[_Piece]:
@@ -214,7 +225,7 @@ def _subtract_branches(piece: _Piece, offs: IntVec, mode: Mode) -> list[_Piece]:
         rest, outside, vals = _cut_piece(rest, k, c)
         if outside is None and mode is Mode.RELATIVE_INTERIOR:  # rest came back whole: vals are its own
             on = [(v, m) for v, m, s in zip(rest.vertices, rest.masks, vals) if s == 0]
-            outside = _Piece(*zip(*on)) if on else None
+            outside = _Piece(*zip(*on), 0) if on else None
         if outside is not None:
             branches.append(outside)
     return branches
@@ -227,8 +238,22 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     vertices of weights with lcm ``L``.  For an integer offset ``off``, ``u.b
     <= off`` iff ``ceil(u.num / den) <= off`` and ``u.b < off`` iff
     ``floor(u.num / den) < off``, so each row value is rounded once and looked
-    up in the row's index; the remaining translates in every mask found
-    contain ``b``, and the lowest bit, the first of them, is carved out.
+    up in the row's index; the remaining translates in every mask found,
+    ``hits``, contain ``b``, so carving any of them makes progress.
+
+    The carve takes one of them that holds more of the piece: each vertex in
+    turn narrows ``hits`` to the translates whose closed region holds it, its
+    row values rounded up over ``L`` and looked up the same way, in both
+    modes; a vertex that would empty the set is passed over, and the lowest
+    bit left is carved.  The
+    canonical order carves the lowest bit of ``hits`` instead, and the
+    witness is the first uncovered barycenter in that order.  Both orders pop
+    the same pieces up to their first differing pick, so the stack as it
+    stood there is saved.  An uncovered barycenter found before that pick is
+    the canonical witness; one found after it restores the saved stack, and
+    from then on every carve takes the lowest bit, so the next uncovered
+    barycenter is the canonical witness.  A holding query never replays.
+
     Closed pieces need no dimension test: ``_cut_piece`` splits a piece only
     when vertices lie strictly on both sides, so both parts keep its
     dimension, and closed mode only cuts, starting from the target.  In the
@@ -248,7 +273,8 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     descendant is carved from other translates, so ``T`` stays in its
     ``remaining`` and covers each descendant barycenter the search tests,
     which in the open mode lies in relint(target) as pieces in a target facet
-    are skipped first.  The budget counts every popped piece.
+    are skipped first.  The budget counts every popped piece, replayed ones
+    too.
     """
     target = q.target.desc
     normals, offsets = _classify_translates(q)
@@ -258,9 +284,10 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     budget = cell_budget()
     tverts = target.vertices
     start_verts = tuple((*(dot(u, v) for u in normals), *v, 1) for v in tverts)
-    start = _Piece(start_verts, tuple(_tight_masks(tverts, target.facets)))
+    start = _Piece(start_verts, tuple(_tight_masks(tverts, target.facets)), q.target.dim)
     stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
     processed = 0
+    fuller, replay = True, None  # carve the fullest translate; the stack at the first pick that differed
     while stack:
         piece, remaining = stack.pop()
         processed += 1
@@ -276,8 +303,10 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
         fs = [scale // w for w in cols[-1]]
         den = len(fs) * scale
         hits = whole = remaining
+        rows = []
         for col, (levels, masks) in zip(cols, index):
             vals = list(map(mul, col, fs))  # L*(u_k.x) per vertex, L = scale
+            rows.append(vals)
             hits &= masks[bisect_left(levels, (sum(vals) - slack) // den + 1)]
             if not whole:
                 continue
@@ -289,10 +318,25 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
                 key -= 1
             whole &= masks[bisect_left(levels, key)]
         if not hits:
-            return tuple(norm_scalar(Fraction(sum(map(mul, c, fs)), den)) for c in cols[len(normals):-1])
+            if replay is None:
+                return tuple(norm_scalar(Fraction(sum(map(mul, c, fs)), den)) for c in cols[len(normals):-1])
+            stack, replay, fuller = replay, None, False
+            continue
         if whole:
             continue
         pick = hits & -hits
+        if fuller and hits != pick:
+            held = hits
+            for vertex in zip(*rows):
+                m = held
+                for v, (levels, masks) in zip(vertex, index):
+                    m &= masks[bisect_left(levels, (v - 1) // scale + 1)]
+                if m:
+                    held = m
+            if held & -held != pick:
+                if replay is None:
+                    replay = stack + [(piece, remaining)]
+                pick = held & -held
         for branch in reversed(_subtract_branches(piece, offsets[pick.bit_length() - 1], q.mode)):
             stack.append((branch, remaining ^ pick))
     return None

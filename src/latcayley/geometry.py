@@ -434,14 +434,18 @@ def _tight_masks(verts: tuple[Vec, ...], cons: tuple[Constraint, ...]) -> list[i
     return masks
 
 
-def _piece_edges(verts: tuple[Vec, ...], masks: list[int], pairs=None) -> list[tuple[int, int]]:
+def _piece_edges(verts: tuple[Vec, ...], masks: list[int], pairs=None, need: int = 0) -> list[tuple[int, int]]:
     # (i, j) spans an edge iff no third vertex is tight on every constraint
     # common to i and j; redundant constraints cannot break this test.  Tests
-    # the given vertex pairs, all pairs by default.
+    # the given vertex pairs, all pairs by default.  An edge of a k-polytope
+    # lies on at least k-1 facets, each of them at least one bit, so a caller
+    # passing need = k-1 skips pairs with fewer common bits untested.
     edges = []
     nv = len(verts)
     for i, j in combinations(range(nv), 2) if pairs is None else pairs:
         t = masks[i] & masks[j]
+        if t.bit_count() < need:
+            continue
         if not any(k != i and k != j and (masks[k] & t) == t for k in range(nv)):
             edges.append((i, j))
     return edges

@@ -444,7 +444,7 @@ def edges(P: LatticePolytope) -> list[Edge]:
     verts = P.vertices
     out = [
         Edge((verts[i], verts[j]), math.gcd(*(a - b for a, b in zip(verts[i], verts[j]))))
-        for i, j in _piece_edges(verts, _tight_masks(verts, P.desc.facets))
+        for i, j in _piece_edges(verts, _tight_masks(verts, P.desc.facets), need=P.dim - 1)
     ]
     return sorted(out, key=lambda e: e.endpoints)
 

@@ -512,9 +512,10 @@ def test_subtraction_matches_the_reference_kernel_on_fixed_seeds():
             assert _decide_by_subtraction(q) == reference_subtraction(q), (seed, q)
 
 
-# the digest's 4-polytope; its triple takes this many carves per decider
+# the digest's 4-polytope; its dilates 3P4 and 4P4 take this many carves per
+# decider
 P4 = ((-1, 0, -1, 1), (-1, 0, 0, 1), (0, 1, -1, 0), (1, -1, 0, -1), (1, 0, 0, -1), (1, 0, 1, -1), (1, 1, -1, 0))
-P4_TRIPLE_PICKS = {"2cn": 477, "cond01": 2202}
+P4_DILATE_PICKS = {3: {"2cn": 246, "cond01": 760}, 4: {"2cn": 246, "cond01": 605}}
 
 
 @pytest.fixture
@@ -532,17 +533,18 @@ def picks(monkeypatch):
 
 def test_whole_piece_skip_pins_the_pick_count(picks):
     # every piece that one remaining translate already holds is skipped, not
-    # carved; a skip that never fires carves 1,776 and 8,561 times
-    triple = dilate(P(*P4), 3)
-    for decide in (is_2_convex_normal, has_interior_translate_cover):
-        picks.clear()
-        report = decide(triple)
-        assert report.verdict is Verdict.HOLDS
-        assert len(picks) == P4_TRIPLE_PICKS[report.property]
+    # carved, and each carve takes the translate holding the most vertices;
+    # on 3P4 a skip that never fires carves 583 and 2,241 times
+    for factor, counts in P4_DILATE_PICKS.items():
+        for decide in (is_2_convex_normal, has_interior_translate_cover):
+            picks.clear()
+            report = decide(dilate(P(*P4), factor))
+            assert report.verdict is Verdict.HOLDS
+            assert len(picks) == counts[report.property]
 
 
 # a seeded 5-simplex dilated 4x: 5-D covering at a size that runs in seconds
-P5_QUADRUPLE_PICKS = {"2cn": 1611, "cond01": 7529}
+P5_QUADRUPLE_PICKS = {"2cn": 1048, "cond01": 5331}
 
 
 def test_five_dimensional_dilate_pins_the_pick_count(picks):
@@ -552,6 +554,26 @@ def test_five_dimensional_dilate_pins_the_pick_count(picks):
         report = decide(quadruple)
         assert report.verdict is Verdict.HOLDS
         assert len(picks) == P5_QUADRUPLE_PICKS[report.property]
+
+
+@pytest.mark.parametrize("seed, mode", [(37, Mode.CLOSED), (50, Mode.RELATIVE_INTERIOR)])
+def test_failing_query_resumes_in_canonical_order(picks, seed, mode):
+    """A failing query without a lattice witness whose first carve, on the
+    target itself, takes a fuller translate than the lowest one holding the
+    target's barycenter: the search resumes from there in the canonical
+    order and reports the reference kernel's witness."""
+    q = _reference_query(seed, mode)
+    assert covering._lattice_witness(q) is None
+    normals, offsets = _classify_translates(q)
+    accepts = operator.le if mode is Mode.CLOSED else operator.lt
+    vals = [dot(u, barycenter(q.target.desc.vertices)) for u in normals]
+    lowest = next(offs for offs in offsets if all(map(accepts, vals, offs)))
+    report = covers(q)
+    assert report.verdict is Verdict.FAILS
+    assert report.witness == reference_subtraction(q)
+    start = picks[0][0]
+    assert picks[0][1] != lowest
+    assert (start, lowest, mode) in picks[1:]
 
 
 @pytest.mark.parametrize("mode", [Mode.CLOSED, Mode.RELATIVE_INTERIOR])
@@ -674,6 +696,9 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
         assert hull.vertices == tuple(sorted(verts))
         edges = _piece_edges(verts, _tight_masks(verts, hull.facets))
         assert _piece_edges(piece.vertices, piece.masks) == edges
+        # the popcount pre-filter at the piece's true dimension drops no edge
+        assert piece.dim in (0, piece_dim(piece))
+        assert _piece_edges(piece.vertices, piece.masks, need=piece_dim(piece) - 1) == edges
 
     def random_cut(piece, rows=None):
         # a row and the floor of one vertex's value on it, moved by -1, 0 or
@@ -692,7 +717,7 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     K = len(rows)
     verts = P_.desc.vertices
     pieces = [_Piece(
-        tuple((*(dot(u, v) for u in rows), *v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets))
+        tuple((*(dot(u, v) for u in rows), *v, 1) for v in verts), tuple(_tight_masks(verts, P_.desc.facets)), dim
     )]
     for _ in range(4):
         piece = pieces.pop(rng.randrange(len(pieces)))
@@ -713,6 +738,19 @@ def test_cut_parts_keep_the_piece_dimension(seed, dim):
     offs[k] = off
     for part in _subtract_branches(piece, tuple(offs), Mode.RELATIVE_INTERIOR):
         assert_masks_exact(part)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 5))
+def test_edge_pre_filter_drops_no_hull_edge(seed, dim):
+    """Two vertices of a dim-polytope with fewer than dim - 1 common facets
+    span no edge, so the popcount pre-filter changes no edge list."""
+    rng = random.Random(seed)
+    ambient = rng.randint(dim, 5)
+    P_ = random_lattice_polytope(seed, ambient, dim, coord_bound=1 if dim > 3 else 2)
+    verts = P_.desc.vertices
+    masks = _tight_masks(verts, P_.desc.facets)
+    assert _piece_edges(verts, masks, need=dim - 1) == _piece_edges(verts, masks)
 
 
 def _assert_table_matches_membership(q: CoverageQuery):
