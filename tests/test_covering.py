@@ -533,8 +533,8 @@ def picks(monkeypatch):
 
 def test_whole_piece_skip_pins_the_pick_count(picks):
     # every piece that one remaining translate already holds is skipped, not
-    # carved, and each carve takes the translate holding the most vertices;
-    # on 3P4 a skip that never fires carves 583 and 2,241 times
+    # carved, and each carve prefers a translate that also holds the piece's
+    # vertices; on 3P4 a skip that never fires carves 583 and 2,241 times
     for factor, counts in P4_DILATE_PICKS.items():
         for decide in (is_2_convex_normal, has_interior_translate_cover):
             picks.clear()
