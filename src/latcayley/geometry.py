@@ -73,6 +73,8 @@ def cell_budget() -> int:
 
 
 def norm_scalar(x: Scalar) -> Scalar:
+    if type(x) is int:  # skips isinstance, slow as Fraction's metaclass is ABCMeta; a bool falls through
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add
+from operator import add, itemgetter, mul
 
 from .geometry import (
     CELL_BUDGET_ENV,
@@ -307,18 +307,60 @@ def cayley_sum(polytopes) -> LatticePolytope:
 # integer point enumeration
 
 
+def _bound_rows(rows, k: int) -> tuple:
+    """The rows u.x <= c of ``constraint_rows`` with u_k != 0, as bounds on x_k:
+    (upper, L) and (lower, M) by the sign of u_k, each row (h, a, c, is_facet)
+    for head h = u_0..u_{k-2} and a = u_{k-1}, scaled by L / |u_k| to L, the
+    lcm of the side's |u_k|, and sorted by a, largest first, for ``_envelope``."""
+    sides: tuple[list, list] = ([], [])
+    for u, c, is_facet in rows:
+        if u[k]:
+            sides[u[k] < 0].append((abs(u[k]), u[: k - 1], u[k - 1], c, is_facet))
+    levels = []
+    for side in sides:
+        L = math.lcm(*[row[0] for row in side])
+        scaled = [
+            (h, a, c, f) if m == L else (tuple([x * (L // m) for x in h]), a * (L // m), c * (L // m), f * (L // m))
+            for m, h, a, c, f in side
+        ]
+        scaled.sort(key=itemgetter(1), reverse=True)
+        levels.append((scaled, L))
+    return tuple(levels)
+
+
 @lru_cache(maxsize=512)
 def _projection_rows(base: frozenset) -> tuple:
     """Levels 1..n-2 of ``_integer_points`` for a primitive base B, given B's
-    vertices projected onto coordinates 0..n-2: the ``constraint_rows`` of
-    each pi_k(B).  c is unshifted: one entry serves every gB and both modes."""
+    vertices projected onto coordinates 0..n-2: the ``_bound_rows`` of each
+    pi_k(B).  Offsets are unshifted: one entry serves every gB and both modes."""
     levels = []
     proj_vertices = base
     for k in range(len(next(iter(base))) - 1, 0, -1):
         proj = convex_hull({v[: k + 1] for v in proj_vertices})
         proj_vertices = proj.vertices
-        levels.append(constraint_rows(proj))
+        levels.append(_bound_rows(constraint_rows(proj), k))
     return tuple(levels[::-1])
+
+
+def _envelope(rows: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """The lower envelope over x = lo..hi of the lines (b - a x) / L of rows
+    (b, a) sorted by a, largest first: segments (end, b, a) in order, each
+    starting after the last (the first at lo), on which row (b, a) is least.
+    A segment takes the first least row at its start, the one of largest a,
+    and keeps it until a row of larger a passes below it, from
+    x = (b_i - b) // (a_i - a) + 1 on; a row after it never does."""
+    segments = []
+    while True:
+        values = [b - a * lo for b, a in rows]
+        i = values.index(min(values))
+        b, a = rows[i]
+        rows = rows[:i]
+        end = min([(bi - b) // (ai - a) for bi, ai in rows if ai != a], default=hi)
+        if end >= hi:
+            segments.append((hi, b, a))
+            return segments
+        segments.append((end, b, a))
+        lo = end + 1
 
 
 def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int, int]]:
@@ -336,10 +378,15 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int
     in relative-interior mode unless it is a single point.
 
     A level k+1 row is split into its head over x_0..x_{k-1}, its
-    coefficient a of x_k and m = |u_{k+1}|.  A node at level k reduces each
-    row over its prefix once, b = r - head.prefix, and each child x_k gets
-    its exact bounds (b - a x_k) // m, so no dot product runs again over the
-    coordinates fixed higher up.
+    coefficient a of x_k and m = |u_{k+1}|, and each side is brought to one
+    denominator L, the lcm of its m.  A node at level k reduces each row over
+    its prefix once, b = r - head.prefix, so child x_k has the upper bound
+    min floor((b - a x_k) / L) over the upper rows, and minus that over the
+    lower rows is its lower bound.  Floor is monotone, so that is the floor
+    of the least line, read off the lower envelope of the lines (``_envelope``):
+    one floor division per child and side, and a row scan per segment, not
+    per child.  The children of a level n-2 node are the fibres, appended
+    as they are found.
 
     Levels 1..n-2 come from ``_projection_rows``.  With g the gcd of all
     vertex coordinates (1 for the origin), P = gB and pi_k(P) = g pi_k(B) has
@@ -360,45 +407,57 @@ def _integer_points(desc: DualDescription, mode: Mode) -> list[tuple[IntVec, int
     if n == 0:
         return [((), 0, 0)]
     strict = int(mode is Mode.RELATIVE_INTERIOR)
-    # levels[k] = (upper, lower); a row (head, a, m, r) bounds x_k above by
-    # (r - head.x - a x_{k-1}) // m, or below by -((r - head.x - a x_{k-1}) // m)
-    levels: list[tuple[list, list]] = [([], []) for _ in range(n)]
-    scaled = [(1, constraint_rows(desc))] if n > 1 else []  # (g, rows) for levels 1..n-1
+    scaled = [(1, _bound_rows(constraint_rows(desc), n - 1))] if n > 1 else []  # (g, level) for levels 1..n-1
     if n > 2:
         g = math.gcd(*(x for v in desc.vertices for x in v)) or 1
         base = frozenset(tuple(x // g for x in v[:-1]) for v in desc.vertices)
-        scaled[:0] = [(g, rows) for rows in _projection_rows(base)]
-    for k, (g, rows) in enumerate(scaled, 1):
-        for u, c, is_facet in rows:
-            if u[k]:
-                levels[k][u[k] < 0].append((u[: k - 1], u[k - 1], abs(u[k]), g * c - strict * is_facet))
+        scaled[:0] = [(g, level) for level in _projection_rows(base)]
+    # levels[k] = ((upper, L), (lower, M)), rows (head, a, r) with r the offset, shifted in relint mode
+    levels = [None] + [
+        [([(h, a, g * c - strict * f) for h, a, c, f in rows], L) for rows, L in level] for g, level in scaled
+    ]
     budget = cell_budget()
     out: list[tuple[IntVec, int, int]] = []
     count = 0
 
-    def rec(k: int, prefix: IntVec, lo: int, hi: int) -> None:
-        # x_k runs over [lo, hi]
+    def spend(points: int) -> None:
         nonlocal count
-        if k == n - 1:
-            count += hi - lo + 1
-            if count > budget:
-                raise CellBudgetExceeded(
-                    f"lattice point enumeration would return more than {budget} points; "
-                    f"raise {CELL_BUDGET_ENV} to allow more"
-                )
-            out.append((prefix, lo, hi))
-            return
-        upper, lower = ([(r - dot(h, prefix), a, m) for h, a, m, r in rows] for rows in levels[k + 1])
-        for x in range(lo, hi + 1):
-            top = min((b - a * x) // m for b, a, m in upper)
-            bottom = max(-((b - a * x) // m) for b, a, m in lower)
-            if bottom <= top:
-                rec(k + 1, prefix + (x,), bottom, top)
+        count += points
+        if count > budget:
+            raise CellBudgetExceeded(
+                f"lattice point enumeration would return more than {budget} points; "
+                f"raise {CELL_BUDGET_ENV} to allow more"
+            )
+
+    def rec(k: int, prefix: IntVec, lo: int, hi: int) -> None:
+        # x_k runs over [lo, hi]; the envelopes bound x_{k+1} over each x_k
+        (upper, L), (lower, M) = levels[k + 1]
+        ups = _envelope([(r - sum(map(mul, h, prefix)), a) for h, a, r in upper], lo, hi)
+        downs = _envelope([(r - sum(map(mul, h, prefix)), a) for h, a, r in lower], lo, hi)
+        fibres = k + 2 == n
+        points = i = j = 0
+        while lo <= hi:
+            (eu, bu, au), (el, bl, al) = ups[i], downs[j]
+            end = min(eu, el)
+            for x in range(lo, end + 1):
+                top, bottom = (bu - au * x) // L, -((bl - al * x) // M)
+                if bottom <= top:
+                    if fibres:
+                        out.append((prefix + (x,), bottom, top))
+                        points += top - bottom + 1
+                    else:
+                        rec(k + 1, prefix + (x,), bottom, top)
+            i, j, lo = i + (eu == end), j + (el == end), end + 1
+        if fibres:
+            spend(points)
 
     lo, hi = min(v[0] for v in desc.vertices), max(v[0] for v in desc.vertices)
     if lo < hi:
         lo, hi = lo + strict, hi - strict
-    if lo <= hi:
+    if lo <= hi and n == 1:
+        spend(hi - lo + 1)
+        out.append(((), lo, hi))
+    elif lo <= hi:
         rec(0, (), lo, hi)
     return out
 

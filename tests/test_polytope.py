@@ -7,7 +7,7 @@ from itertools import product
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latcayley import (
     CellBudgetExceeded,
@@ -29,8 +29,8 @@ from latcayley import (
     random_lattice_polytope,
     translate,
 )
-from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, contains, convex_hull, dot
-from latcayley.polytope import _projection_rows, _sum_template
+from latcayley.geometry import CELL_BUDGET_ENV, DualDescription, Mode, constraint_rows, contains, convex_hull, dot
+from latcayley.polytope import _bound_rows, _envelope, _projection_rows, _sum_template
 
 from conftest import Plane, seg
 
@@ -266,6 +266,51 @@ def test_library_built_point_sets_are_what_the_public_constructor_builds(Q, pa, 
         assert S.points == PointSet(S.ambient_dim, S.points).points
         assert S == PointSet(S.ambient_dim, S.points)  # the rows the library built are the canonical ones
         assert all(type(x) is int for p in S for x in p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3), st.sampled_from([1, -1]), st.integers(-9, 9)), min_size=1),
+    st.integers(-4, 4),
+    st.integers(0, 8),
+)
+# parallel rows (a/m = 1 twice), a duplicate row, and a tie at lo between two slopes
+@example([(2, 2, 1, 3), (1, 1, 1, 0), (1, 1, 1, 0), (0, 3, 1, 4), (-1, 2, 1, 1), (1, 1, -1, -5)], -3, 7)
+@example([(1, 1, 1, 0), (-1, 1, 1, 0), (0, 2, -1, 1), (3, 2, -1, 1)], 0, 4)
+@example([(-2, 3, 1, 5), (2, 3, -1, 1)], 2, 0)
+def test_envelope_walk_matches_the_least_row_at_every_x(lines, lo, width):
+    # a line (a, m, sign, c) is the level-1 row (a, sign*m).x <= c: over x_0 = x
+    # it bounds x_1 above by (c - a x) // m (sign 1) or below by -((c - a x) // m)
+    hi = lo + width
+    rows = [((a, sign * m), c, True) for a, m, sign, c in lines]
+    for (side, L), sign in zip(_bound_rows(rows, 1), (1, -1)):
+        mine = [(a, m, c) for a, m, s, c in lines if s == sign]
+        assert len(side) == len(mine) and all(L % m == 0 for _, m, _ in mine)
+        if not side:
+            continue
+        scaled = [(c, a) for _, a, c, _ in side]
+        x = lo
+        for end, b, a in _envelope(scaled, lo, hi):
+            # the segment's row is the least at its start, ties going to the largest a
+            assert (b - a * x, -a) == min((bi - ai * x, -ai) for bi, ai in scaled)
+            for y in range(x, end + 1):
+                assert (b - a * y) // L == min((c - ai * y) // m for ai, m, c in mine)
+            x = end + 1
+        assert x == hi + 1
+
+
+def test_lattice_points_of_a_reeve_dilate_with_denominator_rows():
+    # with its height along x_0, the Reeve tetrahedron's rows on x_2 have |u_2| = 2
+    R = dilate(P((0, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)), 3)
+    (upper, L), (lower, M) = _bound_rows(constraint_rows(R.desc), 2)
+    assert (L, M) == (2, 2)
+    assert lattice_points(R).rows == (
+        ((0, 0), 0, 3), ((0, 1), 0, 2), ((0, 2), 0, 1), ((0, 3), 0, 0), ((1, 1), 1, 2), ((1, 2), 1, 1),
+        ((2, 1), 1, 3), ((2, 2), 1, 2), ((2, 3), 1, 1), ((3, 2), 2, 2), ((4, 2), 2, 3), ((4, 3), 2, 2),
+        ((6, 3), 3, 3),
+    )
+    assert interior_lattice_points(R).rows == (((1, 1), 1, 2), ((1, 2), 1, 1), ((3, 2), 2, 2))
+    _assert_enumeration_matches_box_scan(R)
 
 
 def test_lattice_points_respect_cell_budget(monkeypatch, unit_square, cold_enumeration_cache):
