@@ -6,9 +6,8 @@ edge-length criterion for 2-convex-normality.
 
 Every decomposition question (IDP, tuple IDP, levelness) is one sumset
 equality, decided by ``_first_missing`` through ``point_set_sum``, the one
-sumset kernel, on rows (runs of the last coordinate), never point by point:
-a sum with the region's rows settles it, and a point the sum misses is
-re-checked, and placed by the level scan's fallback, one row at a time.
+sumset kernel, on rows (runs of the last coordinate), never point by point;
+a sum with the region's rows settles it at once.
 
 Verdict semantics: IDP checks certify.  Checking the decomposition equality
 up to degree max(2, d-1) is a complete certificate, because the equality
@@ -24,15 +23,13 @@ horizon they scanned, never Holds.
 from __future__ import annotations
 
 import enum
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from operator import add, mul, sub
+from operator import add, mul
 
-from .geometry import DimensionMismatch, GeometryError, IntVec, Mode, constraint_rows, contains
+from .geometry import DimensionMismatch, GeometryError, IntVec, Mode, contains, vec_sub
 from .polytope import (
     LatticePolytope,
     PointSet,
@@ -171,54 +168,14 @@ def point_set_sum(A: PointSet, B: PointSet) -> PointSet:
     return PointSet._from_rows(n, tuple(map(tuple, rows)))
 
 
-def _in_sum(w: IntVec, S: PointSet, T: PointSet) -> bool:
-    """Is w = s + t for some s in S and t in T?  The t = (q, y), y = lo..hi, of a
-    row (q, lo, hi) of T give w - t = (head - q, x - y) with (head, x) = w, so
-    one bisect of S's rows finds the run of S over head - q starting last at
-    or before x - lo; being maximal and disjoint, it is the one to reach x - hi.
-    In Z^0 the point () is the row ((), 0, 0)."""
-    head, x = w[:-1], w[-1] if w else 0
-    rows = S.rows
-    for q, lo, hi in T.rows:
-        p = tuple(map(sub, head, q))
-        i = bisect_right(rows, (p, x - lo, math.inf)) - 1
-        if i >= 0 and rows[i][0] == p and rows[i][2] >= x - hi:
-            return True
-    return False
-
-
-def _in_translates(w: IntVec, G: PointSet, D: LatticePolytope) -> bool:
-    """Is w - g in D for some g in G?  For a row (p, lo, hi) of G, w - (p, y)
-    = z - y e with z = (head - p, x) and (head, x) = w, and each row u.v <= c
-    of D (``constraint_rows``, an equality as two) holds there iff
-    u_last y >= u.z - c: one integer bound on y, or none, or no y at all."""
-    rows = constraint_rows(D.desc)
-    head, x = w[:-1], w[-1] if w else 0
-    for p, lo, hi in G.rows:
-        z = (*map(sub, head, p), x)
-        for u, c, _ in rows:
-            t, m = c - sum(map(mul, u, z)), u[-1]
-            if m > 0:
-                lo = max(lo, -(t // m))
-            elif m < 0:
-                hi = min(hi, t // -m)
-            elif t < 0:
-                break
-            if lo > hi:
-                break
-        else:
-            return True
-    return False
-
-
 def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet], fallback=None) -> IntVec | None:
     """Smallest lattice point of Q (closed, or relative interior, by mode) that
     is not a sum of one point from each of two or more factors, nor, given a
     fallback (G, D), g + x with g in G and x in the polytope D.  The sum lies
     in that region by identity: equal rows settle the question at once, and
     otherwise containment is asserted.  Each point missing from the sum is
-    re-checked against Q and against each row of the last factor, then
-    placed by the fallback one row of G at a time.
+    re-checked against Q and against each point of the last factor before
+    the fallback may place it.
     """
     region = lattice_points(Q) if mode is Mode.CLOSED else interior_lattice_points(Q)
     *head, last = factors
@@ -229,9 +186,9 @@ def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet], fall
     if next(have.not_in(region), None) is not None:
         raise AssertionError("sum escaped the region; geometry bug")
     for w in region.not_in(have):
-        if not contains(Q.desc, w, mode) or _in_sum(w, prefix, last):
+        if not contains(Q.desc, w, mode) or any(vec_sub(w, b) in prefix for b in last):
             raise AssertionError(f"missing point {w} failed its re-check")
-        if not (fallback and _in_translates(w, *fallback)):
+        if not (fallback and any(contains(fallback[1].desc, vec_sub(w, g)) for g in fallback[0])):
             return w
     return None
 

@@ -174,50 +174,6 @@ def test_point_set_rows_in_ambient_dimension_zero():
     assert (list(origin.not_in(empty)), list(origin.not_in(origin)), list(empty.not_in(origin))) == ([()], [], [])
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(sets_and_queries))
-@example((PointSet(2, ((0, 0), (0, 1), (0, 4), (0, 7))), PointSet(2, ((0, 0), (0, 2), (1, 5))), [(0, 3), (1, 9)]))
-def test_row_wise_sum_membership_matches_its_pointwise_definition(triple):
-    S, T, queries = triple
-    pts = set(S.points)
-    sums = [tuple(x + y for x, y in zip(s, t)) for s in S.points[:8] for t in T.points[:8]]
-    for w in sums + [(*w[:-1], w[-1] + d) for w in sums for d in (-1, 1)] + queries:
-        assert properties._in_sum(w, S, T) == any(vec_sub(w, t) in pts for t in T), (S, T, w)
-
-
-@st.composite
-def translate_cases(draw):
-    """A point set G with gapped rows and a dilate D of a lattice polytope, in
-    ambient dimension 1-4, with points w near the sums of their points."""
-    n = draw(st.integers(1, 4))
-    G = draw(point_sets(n))
-    coord = st.integers(-1, 1) if n == 4 else st.integers(-2, 2)
-    D = dilate(from_vertices(draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=6))), draw(st.integers(1, 2)))
-    return G, D, draw(st.lists(st.tuples(*[st.integers(-7, 7)] * n), max_size=6))
-
-
-# D lies in the plane x_1 = x_2 and has the facet x_0 <= 4, whose last coefficient is 0
-@settings(max_examples=200, deadline=None)
-@given(translate_cases())
-@example((
-    PointSet(3, ((0, 0, 0), (0, 0, 2), (0, 0, 3), (1, 2, 1), (1, 2, 5))),
-    dilate(P((0, 0, 0), (2, 0, 0), (0, 1, 1), (2, 1, 1)), 2),
-    [(5, 2, 2), (4, 1, 1), (0, 2, 4), (6, 4, 7)],
-))
-def test_row_wise_fallback_matches_its_pointwise_definition(case):
-    G, D, queries = case
-    sums = [tuple(x + y for x, y in zip(g, d)) for g in G.points[:6] for d in lattice_points(D).points[:10]]
-    for w in sums + [(*w[:-1], w[-1] + d) for w in sums for d in (-2, -1, 1)] + queries:
-        assert properties._in_translates(w, G, D) == any(contains(D.desc, vec_sub(w, g)) for g in G), (G, D, w)
-
-
-def test_row_wise_checks_in_ambient_dimension_zero():
-    empty, origin, point = PointSet(0, ()), PointSet(0, ((),)), from_vertices([()])
-    for S, T in product((empty, origin), repeat=2):
-        assert properties._in_sum((), S, T) == bool(S.rows and T.rows)
-        assert properties._in_translates((), S, point) == bool(S.rows)
-
-
 # ---------------------------------------------------------------------------
 # IDP
 
