@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -66,7 +66,7 @@ def _pretty(x) -> str:
 
 
 def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _emit(args, doc: dict, text_lines: list[str]) -> None:

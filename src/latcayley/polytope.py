@@ -120,11 +120,15 @@ class PointSet:
     def __len__(self) -> int:
         return sum(hi - lo + 1 for _, lo, hi in self.rows)
 
+    def _row_at(self, head: IntVec, x: int) -> tuple[IntVec, int, int]:
+        """The last row at or before (head, x) in row order, or (None, 0, -1)."""
+        i = bisect_right(self.rows, (head, x, math.inf)) - 1
+        return self.rows[i] if i >= 0 else (None, 0, -1)
+
     def __contains__(self, p) -> bool:
         p = tuple(p)
         head, x = p[:-1], p[-1] if p else 0  # as rows hold the point () of Z^0
-        i = bisect_right(self.rows, (head, x, math.inf)) - 1
-        q, lo, hi = self.rows[i] if i >= 0 else (None, 0, -1)
+        q, lo, hi = self._row_at(head, x)
         return len(p) == self.ambient_dim and q == head and x in range(lo, hi + 1)
 
     def not_in(self, other: PointSet):

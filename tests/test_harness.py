@@ -2,8 +2,12 @@
 
 import ast
 import json
+import os
 import random
+import re
+import subprocess
 import sys
+import time
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -667,6 +671,19 @@ def test_cli_report_deterministic_apart_from_timestamp(tmp_path, capsys):
     assert without_timestamp(read_json(a)) == without_timestamp(read_json(b))
 
 
+def test_cli_report_timestamp_is_utc_seconds(tmp_path, capsys):
+    from datetime import datetime
+
+    out = tmp_path / "report.json"
+    main(["check", "--property", "idp", fixture_arg("unit_square"), "--out", str(out)])
+    capsys.readouterr()
+    stamp = read_json(out)["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+    when = datetime.fromisoformat(stamp)
+    assert when.utcoffset().total_seconds() == 0
+    assert abs(when.timestamp() - time.time()) < 5
+
+
 # ---------------------------------------------------------------------------
 # packaging
 
@@ -690,6 +707,18 @@ def test_library_imports_only_the_standard_library():
                 if n.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_cli_import_leaves_datetime_unloaded():
+    # the CLI formats its one timestamp with ``time``; importing ``datetime``
+    # cost every latcayley process a few milliseconds of start-up
+    src = str(FIXTURES.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import latcayley.cli, sys; print('datetime' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (0, "False"), proc.stderr
 
 
 def test_no_unused_imports():

@@ -1,6 +1,7 @@
 """Property deciders: IDP, tuple-IDP, level, Gorenstein, edge criterion."""
 
 import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -172,6 +173,63 @@ def test_point_set_rows_in_ambient_dimension_zero():
     C = cayley_sum([from_vertices([()])] * 2)  # factors in Z^0: each slice is one point
     assert [cayley_slice(C, a).points for a in ((0, 0), (2, 0), (1, 1))] == [((0, 0),), ((2, 0),), ((1, 1),)]
     assert (list(origin.not_in(empty)), list(origin.not_in(origin)), list(empty.not_in(origin))) == ([()], [], [])
+
+
+# ---------------------------------------------------------------------------
+# the row-wise re-check and fallback of _first_missing
+
+
+def seeded_point_set(rng, n):
+    """Scattered points and gapped runs of the last coordinate in [-4, 4]^n; may be empty."""
+    coord = lambda: rng.randint(-4, 4)
+    pts = [tuple(coord() for _ in range(n)) for _ in range(rng.randint(0, 6))]
+    for _ in range(rng.randint(0, 3) if n else 0):
+        head, lo = tuple(coord() for _ in range(n - 1)), coord()
+        pts += [(*head, x) for x in range(lo, lo + rng.randint(1, 5))]
+    return PointSet(n, pts)
+
+
+def seeded_queries(rng, n, S):
+    """S's points, their neighbours along the last coordinate, and points far
+    outside the box of either factor."""
+    near = [(*p[:-1], p[-1] + d) for p in S.points for d in (-1, 1)] if n else []
+    far = [tuple(rng.randint(-15, 15) for _ in range(n)) for _ in range(6)]
+    return [*S.points, *near, *far, (-20,) * n, (20,) * n]
+
+
+def test_row_wise_sum_recheck_matches_the_pointwise_one():
+    seen = set()
+    for n, seed in product(range(5), range(40)):
+        rng = random.Random(100 * n + seed)
+        S, T = seeded_point_set(rng, n), seeded_point_set(rng, n)
+        for w in seeded_queries(rng, n, point_set_sum(S, T)):
+            pointwise = any(vec_sub(w, t) in S for t in T)
+            assert properties._in_sum(w, S, T) == pointwise, (S, T, w)
+            seen.add((n, pointwise))
+    assert seen == set(product(range(5), (False, True)))
+
+
+def test_row_wise_fallback_matches_the_pointwise_one():
+    # D ranges over every dimension up to its ambient one, so lower-dimensional
+    # D bring equality rows; explicit: in G's first row, y in [0, 1], the
+    # facets of D ask y in [3, 5] and the interval empties, then the second row holds
+    segment = from_vertices([(0, 0), (0, 2)])
+    G = PointSet(2, ((1, 0), (1, 1), (1, 3), (1, 4), (2, 0)))
+    assert properties._in_translates((1, 5), G, segment)
+    assert not properties._in_translates((1, 5), PointSet(2, ((1, 0), (1, 1), (2, 0))), segment)
+    seen = set()
+    for n, seed in product(range(5), range(25)):
+        rng = random.Random(100 * n + seed)
+        d = rng.randint(0, n)
+        polytope = lambda s, d: random_lattice_polytope(s, n, d, 2, d + 2) if n else from_vertices([()])
+        D = dilate(polytope(seed, d), rng.randint(1, 2))
+        G = seeded_point_set(rng, n) if seed % 2 else lattice_points(polytope(seed + 1, rng.randint(0, n)))
+        for w in seeded_queries(rng, n, point_set_sum(G, lattice_points(D))):
+            pointwise = any(contains(D.desc, vec_sub(w, g)) for g in G)
+            assert properties._in_translates(w, G, D) == pointwise, (G, D.desc, w)
+            seen.add((n, bool(D.desc.equalities), pointwise))
+    assert {(n, True, b) for n in range(1, 5) for b in (False, True)} <= seen
+    assert {(n, False, b) for n in range(5) for b in (False, True)} <= seen
 
 
 # ---------------------------------------------------------------------------
