@@ -120,7 +120,7 @@ class PointSet:
     def __len__(self) -> int:
         return sum(hi - lo + 1 for _, lo, hi in self.rows)
 
-    def _row_at(self, head: IntVec, x: int) -> tuple[IntVec, int, int]:
+    def _row_at(self, head: IntVec, x: int) -> tuple[IntVec | None, int, int]:
         """The last row at or before (head, x) in row order, or (None, 0, -1)."""
         i = bisect_right(self.rows, (head, x, math.inf)) - 1
         return self.rows[i] if i >= 0 else (None, 0, -1)

@@ -211,8 +211,8 @@ def test_row_wise_sum_recheck_matches_the_pointwise_one():
 
 def test_row_wise_fallback_matches_the_pointwise_one():
     # D ranges over every dimension up to its ambient one, so lower-dimensional
-    # D bring equality rows; explicit: in G's first row, y in [0, 1], the
-    # facets of D ask y in [3, 5] and the interval empties, then the second row holds
+    # D bring equality rows.  Below, the facets of the segment ask y in [3, 5]
+    # of G's row ((1,), 0, 1), whose interval empties, and its row ((1,), 3, 4) holds
     segment = from_vertices([(0, 0), (0, 2)])
     G = PointSet(2, ((1, 0), (1, 1), (1, 3), (1, 4), (2, 0)))
     assert properties._in_translates((1, 5), G, segment)
