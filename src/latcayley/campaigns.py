@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import product
 
 from . import __version__
 from .covering import has_interior_translate_cover, is_2_convex_normal
 from .generator import random_lattice_polytope
-from .geometry import DualDescription, GeometryError, dot
+from .geometry import DualDescription, GeometryError, Mode, dot
 from .polytope import (
     LatticePolytope,
     cayley_slice,
@@ -245,30 +246,19 @@ def _heights(m: int, total: int, lo: int):
     return (a for a in product(range(lo, total + 1), repeat=m) if 1 <= sum(a) <= total)
 
 
-def _run_lemma_1_1(rng, config, trial, out):
+def _run_slices(mode, rng, config, trial, out):
+    """Lemma 1.1 (closed mode) or 1.2 (relative-interior mode): the height-a slice
+    of |a|C, C = Cayley(Ps), is sum a_i P_i in that mode.  Interior slices need
+    positive heights, whose total is at least m."""
     m = rng.randint(2, 3)
     Ps = [_poly2(rng, config) for _ in range(m)]
     C = cayley_sum(Ps)
-    total = config.dilation_bound
-    for a in _heights(m, total, 0):
-        got = cayley_slice(C, a)
+    lo = int(mode is Mode.RELATIVE_INTERIOR)
+    points = interior_lattice_points if lo else lattice_points
+    for a in _heights(m, max(config.dilation_bound, lo * m), lo):
         mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
-        if got.rows != tuple((a + p, lo, hi) for p, lo, hi in lattice_points(mink).rows):
-            out.append(Violation(trial, _verts(*Ps), f"slice mismatch at heights {a}"))
-
-
-def _run_lemma_1_2(rng, config, trial, out):
-    m = rng.randint(2, 3)
-    Ps = [_poly2(rng, config) for _ in range(m)]
-    total = max(config.dilation_bound, m)
-    C = cayley_sum(Ps)
-    for a in _heights(m, total, 1):
-        inner = interior_lattice_points(dilate(C, sum(a)))
-        got = tuple(row for row in inner.rows if row[0][:m] == a)
-        mink = minkowski_sum([dilate(P, ai) for P, ai in zip(Ps, a)])
-        want = tuple((a + p, lo, hi) for p, lo, hi in interior_lattice_points(mink).rows)
-        if got != want:
-            out.append(Violation(trial, _verts(*Ps), f"interior slice mismatch at heights {a}"))
+        if cayley_slice(C, a, mode).rows != tuple((a + p, x, y) for p, x, y in points(mink).rows):
+            out.append(Violation(trial, _verts(*Ps), f"{'interior ' * lo}slice mismatch at heights {a}"))
 
 
 def _factor_criterion(Ps, N: int) -> bool:
@@ -432,9 +422,11 @@ def _run_hnp_polygon_pair(rng, config, trial, out):
 # campaign id -> (runner, the caveat its report notes, or None)
 _CAMPAIGNS = {
     "thm_0_1": (_run_thm_0_1, None),
-    "lemma_1_1": (_run_lemma_1_1, "slice equality checked on integer height vectors with bounded total; "
+    "lemma_1_1": (partial(_run_slices, Mode.CLOSED),
+                  "slice equality checked on integer height vectors with bounded total; "
                   "the real-valued statement is not mechanically checkable"),
-    "lemma_1_2": (_run_lemma_1_2, "interior slice equality checked on positive integer height vectors with "
+    "lemma_1_2": (partial(_run_slices, Mode.RELATIVE_INTERIOR),
+                  "interior slice equality checked on positive integer height vectors with "
                   "bounded total; the real-valued statement is not mechanically checkable"),
     "thm_0_4_equiv": (_run_thm_0_4_equiv, None),
     "thm_2_1": (_run_thm_2_1, None),

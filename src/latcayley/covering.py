@@ -391,16 +391,16 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     The reverse inclusion, every translate sitting inside relint(2P), is an
     identity; it is asserted on one relative interior sample per translate, not
     searched for: the barycenter b + t, tested in integers as k(b + t) = S + kt,
-    with k vertices summing to S: the integer vector x = S + kt must meet every
-    equality row of 2P and every facet row strictly, u.x <= k*c - 1.
+    with k vertices summing to S: the integer vector S + kt must lie in
+    relint(2kP).
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
     k = len(P.desc.vertices)
     S = tuple(map(sum, zip(*P.desc.vertices)))
+    scaled = dilate(two, k).desc
     for t in pts:
-        x = tuple(s + k * a for s, a in zip(S, t))
-        if any(dot(u, x) > k * c - is_facet for u, c, is_facet in constraint_rows(two.desc)):
+        if not contains(scaled, tuple(s + k * a for s, a in zip(S, t)), Mode.RELATIVE_INTERIOR):
             raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
     return replace(covers(q), property="cond01")

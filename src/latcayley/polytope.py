@@ -512,9 +512,10 @@ def edges(P: LatticePolytope) -> list[Edge]:
     return sorted(out, key=lambda e: e.endpoints)
 
 
-def cayley_slice(C: LatticePolytope, heights) -> PointSet:
-    """Lattice points of (sum a_i)C, C a Cayley polytope, whose leading block equals
-    a; read off C, not its factors, to serve as the left side of slice checks."""
+def cayley_slice(C: LatticePolytope, heights, mode: Mode = Mode.CLOSED) -> PointSet:
+    """Lattice points of (sum a_i)C, or of its relative interior by mode, C a Cayley
+    polytope, whose leading block equals a; read off C, not its factors, to serve as
+    the left side of slice checks."""
     a = _int_vec(heights, "heights")
     m = len(a)
     units = {tuple(int(j == i) for j in range(m)) for i in range(m)}
@@ -522,7 +523,7 @@ def cayley_slice(C: LatticePolytope, heights) -> PointSet:
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")
-    pts = lattice_points(dilate(C, sum(a)))
+    pts = (lattice_points if mode is Mode.CLOSED else interior_lattice_points)(dilate(C, sum(a)))
     if m == C.ambient_dim:  # factors in Z^0: the slice is the point a or nothing
         return PointSet(m, (a,) if a in pts else ())
     # the rows whose prefix starts with a are one run of the sorted rows

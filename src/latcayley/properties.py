@@ -6,9 +6,11 @@ edge-length criterion for 2-convex-normality.
 
 Every decomposition question (IDP, tuple IDP, levelness) is one sumset
 equality, decided by ``_first_missing`` through ``point_set_sum``, the one
-sumset kernel, on rows (runs of the last coordinate), never point by point:
-a sum with the region's rows settles it, and a point the sum misses is
-re-checked, and placed by the level scan's fallback, one row at a time.
+sumset kernel, on rows (runs of the last coordinate), never point by point.
+Every decomposition check sums two sets: the last certified one and the
+generators.  A sum with the region's rows settles it, and a point the sum
+misses is re-checked, and placed by the level scan's fallback, one row at a
+time.
 
 Verdict semantics: IDP checks certify.  Checking the decomposition equality
 up to degree max(2, d-1) is a complete certificate, because the equality
@@ -26,7 +28,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from operator import add, mul, sub
 
@@ -203,25 +204,23 @@ def _in_translates(w: IntVec, G: PointSet, D: LatticePolytope) -> bool:
     return False
 
 
-def _first_missing(Q: LatticePolytope, mode: Mode, factors: list[PointSet], fallback=None) -> IntVec | None:
+def _first_missing(Q: LatticePolytope, mode: Mode, A: PointSet, B: PointSet, fallback=None) -> IntVec | None:
     """Smallest lattice point of Q (closed, or relative interior, by mode) that
-    is not a sum of one point from each of two or more factors, nor, given a
-    fallback (G, D), g + x with g in G and x in the polytope D.  The sum lies
-    in that region by identity: equal rows settle the question at once, and
-    otherwise containment is asserted.  Each point missing from the sum is
-    re-checked against Q and against each row of the last factor before the
-    fallback may place it, one row of G at a time.
+    is not a + b with a in A and b in B, nor, given a fallback (G, D), g + x
+    with g in G and x in the polytope D.  A is the last certified set and B the
+    generators, so A + B lies in that region by identity: equal rows settle
+    the question at once, and otherwise containment is asserted.  Each point
+    missing from the sum is re-checked against Q and against each row of B
+    before the fallback may place it, one row of G at a time.
     """
     region = lattice_points(Q) if mode is Mode.CLOSED else interior_lattice_points(Q)
-    *head, last = factors
-    prefix = reduce(point_set_sum, head)
-    have = point_set_sum(prefix, last)
+    have = point_set_sum(A, B)
     if have.rows == region.rows:
         return None
     if next(have.not_in(region), None) is not None:
         raise AssertionError("sum escaped the region; geometry bug")
     for w in region.not_in(have):
-        if not contains(Q.desc, w, mode) or _in_sum(w, prefix, last):
+        if not contains(Q.desc, w, mode) or _in_sum(w, A, B):
             raise AssertionError(f"missing point {w} failed its re-check")
         if not (fallback and _in_translates(w, *fallback)):
             return w
@@ -244,7 +243,7 @@ def is_idp(P: LatticePolytope, max_degree: int | None = None) -> PropertyReport:
     prev = gens
     for n in range(2, D + 1):
         Q = dilate(P, n)
-        w = _first_missing(Q, Mode.CLOSED, [prev, gens])
+        w = _first_missing(Q, Mode.CLOSED, prev, gens)
         if w is not None:
             return PropertyReport("idp", Verdict.FAILS, (n, w), (2, D))
         prev = lattice_points(Q)
@@ -260,7 +259,10 @@ def is_tuple_idp(Ps: list[LatticePolytope]) -> PropertyReport:
     A singleton is its own generator set and cannot fail, so the scan starts at
     |I| = 2; the verdict still covers sizes 1..m, as degrees_checked says.
     Subsets go by size, then lexicographically; the witness is the first
-    failing I with its smallest missing point.
+    failing I with its smallest missing point.  So I[:-1] was checked, and
+    passed, before I: the lattice points of its sum are the sum of its
+    members' lattice points, and adding the generators of P_{I[-1]} to them,
+    one sum per subset, gives the right side for I.
     """
     if not Ps:
         raise GeometryError("tuple check needs at least one polytope")
@@ -272,7 +274,8 @@ def is_tuple_idp(Ps: list[LatticePolytope]) -> PropertyReport:
     for size in range(2, m + 1):
         for I in combinations(range(m), size):
             Q = minkowski_sum([Ps[i] for i in I])
-            w = _first_missing(Q, Mode.CLOSED, [gens[i] for i in I])
+            prev = lattice_points(minkowski_sum([Ps[i] for i in I[:-1]]))
+            w = _first_missing(Q, Mode.CLOSED, prev, gens[I[-1]])
             if w is not None:
                 subset = tuple(i + 1 for i in I)
                 return PropertyReport("tuple-idp", Verdict.FAILS, (subset, w), (1, m))
@@ -319,7 +322,7 @@ def level_status(P: LatticePolytope, horizon: int | None = None) -> PropertyRepo
     gens = inner = data.interior_generators
     for n in range(r + 1, H + 1):
         Q = dilate(P, n)
-        w = _first_missing(Q, Mode.RELATIVE_INTERIOR, [inner, lattice_points(P)], (gens, dilate(P, n - r)))
+        w = _first_missing(Q, Mode.RELATIVE_INTERIOR, inner, lattice_points(P), (gens, dilate(P, n - r)))
         if w is not None:
             return PropertyReport("level", Verdict.FAILS, (n, w), (r, H), H)
         inner = interior_lattice_points(Q)

@@ -219,8 +219,8 @@ def _campaign_stand_ins(theorem_id) -> dict:
     level = {"level_status": _stand_in("level_status", index=7)}
     return {
         "thm_0_1": {"is_idp": _stand_in("is_idp"), **level},
-        "lemma_1_1": {"cayley_slice": lambda C, a: PointSet(C.ambient_dim, ())},
-        "lemma_1_2": {"interior_lattice_points": lambda P: PointSet(P.ambient_dim, ((-1,) * P.ambient_dim,))},
+        "lemma_1_1": {"cayley_slice": lambda C, a, mode: PointSet(C.ambient_dim, ())},
+        "lemma_1_2": {"cayley_slice": lambda C, a, mode: PointSet(C.ambient_dim, ((-1,) * C.ambient_dim,))},
         "thm_0_4_equiv": {"is_idp": _stand_in("is_idp", passes={4: Verdict.HOLDS})},
         "thm_2_1": {"is_idp": _stand_in("is_idp")},
         "lemma_2_2": {"is_2_convex_normal": _stand_in("is_2_convex_normal")},

@@ -603,9 +603,10 @@ def ref_lattice_witness(q):
     return None
 
 
-def ref_cayley_slice(Ps, a):
+def ref_cayley_slice(Ps, a, mode):
     C = dilate(cayley_sum(Ps), sum(a))
-    return PointSet(C.ambient_dim, tuple(p for p in lattice_points(C) if p[:len(Ps)] == a))
+    points = lattice_points(C) if mode is Mode.CLOSED else interior_lattice_points(C)
+    return PointSet(C.ambient_dim, tuple(p for p in points if p[:len(Ps)] == a))
 
 
 @st.composite
@@ -629,7 +630,7 @@ def test_deciders_match_reference_sumset_scans(pair):
         assert point_set_sum(A, B).points == tuple(sorted(pairwise))
     for R in (P, C):
         assert is_idp(R).witness == ref_idp_witness(R)
-    for Ps in ([P, Q], [P, Q, P]):
+    for Ps in ([P, Q], [P, Q, P], [P, Q, P, Q]):
         assert is_tuple_idp(Ps).witness == ref_tuple_idp_witness(Ps)
     for R, horizon in ((P, None), (minkowski_sum(pair), None), (C, level_index(C).index_r + 1)):
         rep = level_status(R, horizon)
@@ -639,7 +640,9 @@ def test_deciders_match_reference_sumset_scans(pair):
             q = CoverageQuery(dilate(P, 2), P, shifts, mode)
             assert _lattice_witness(q) == ref_lattice_witness(q)
     for a in ((0, 0), (1, 0), (1, 2), (2, 1)):
-        assert cayley_slice(C, a) == ref_cayley_slice(pair, a)
+        assert cayley_slice(C, a) == ref_cayley_slice(pair, a, Mode.CLOSED)
+    for a in ((1, 1), (1, 2), (2, 1)):
+        assert cayley_slice(C, a, Mode.RELATIVE_INTERIOR) == ref_cayley_slice(pair, a, Mode.RELATIVE_INTERIOR)
 
 
 @pytest.mark.parametrize("h", [2, 3, 4, 5])
@@ -680,3 +683,19 @@ def test_decomposition_checks_call_the_module_binding_of_point_set_sum(check, mo
     args = {"is_idp": (unit_square,), "is_tuple_idp": ([unit_square, unit_square],), "level_status": (unit_square,)}
     getattr(properties, check)(*args[check])
     assert calls
+
+
+def test_tuple_idp_forms_one_sum_per_subset(monkeypatch):
+    # each subset I adds the generators of its last member to the lattice
+    # points of its prefix's sum, certified when the prefix passed: four unit
+    # segments take one sum for each of their 6 + 4 + 1 subsets of size >= 2
+    calls = []
+
+    def counting(A, B):
+        calls.append((A, B))
+        return point_set_sum(A, B)
+
+    monkeypatch.setattr(properties, "point_set_sum", counting)
+    H, V = P((0, 0), (1, 0)), P((0, 0), (0, 1))
+    assert is_tuple_idp([H, V, H, V]).verdict is Verdict.HOLDS
+    assert len(calls) == 11
