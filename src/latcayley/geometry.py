@@ -7,8 +7,9 @@ concurrently.
 
 Kernels go through one fraction-free Gauss-Jordan elimination over the
 integers, ``_echelon``; affine hulls go through one greedy independence pass,
-``_simplex``.  ``convex_hull`` is the one hull routine: beneath-beyond
-insertion in exact integers, described there.
+``_simplex``.  ``convex_hull`` is the one hull routine, in exact integers:
+segments and polygons are read off sorted order, and beneath-beyond insertion
+takes dimension 3 and up, as described there.
 
 A polytope is described by its vertices and two kinds of constraint, both
 ``(u, c)`` pairs of a primitive integer normal ``u`` and an offset ``c``:
@@ -279,9 +280,21 @@ def _beneath_beyond(
     pts: list[IntVec], simplex: list[int], eq_normals: list[IntVec]
 ) -> dict[tuple[int, ...], tuple[IntVec, int]]:
     """Simplicial boundary of conv(pts), distinct integer points whose affine
-    hull the starting simplex spans, by insertion as ``convex_hull`` describes:
-    sorted corner indices of each boundary simplex -> its outward primitive
-    normal u and offset c, with u.x <= c on the hull.
+    hull the starting simplex spans: sorted corner indices of each boundary
+    simplex -> its outward primitive normal u and offset c, with u.x <= c on
+    the hull.  Right in every dimension; ``convex_hull`` calls it from 3.
+
+    The other points go in farthest first from the simplex's barycenter, so
+    extreme points go in early and those they enclose drop after one
+    visibility scan.  A point strictly beyond some boundary simplex is coned
+    to the horizon ridges (those whose other simplex it does not see).  Only
+    the starting facets are solved for, as the columns of one inverse; a new
+    simplex rotates about its horizon ridge (the gift-wrapping pivot of Chand
+    & Kapur, JACM 1970): for the visible simplex (u_v, c_v) and the other one
+    (u_i, c_i), (u_v.p - c_v) u_i + (c_i - u_i.p) u_v is a positive combination
+    of outward normals, tight on the ridge and at p, so over its gcd it is the
+    new normal.  As p is off the visible simplex's hyperplane, it is off the
+    span of each of its ridges, so no new simplex is degenerate.
     """
     dim = len(simplex) - 1
     # (dim+1) times the barycenter of the first simplex: strictly inside every later hull
@@ -331,6 +344,31 @@ def _beneath_beyond(
     return boundary
 
 
+def _ring(pts: list[IntVec], simplex: list[int]) -> list[int]:
+    """Vertex indices, in cyclic order, of a polygon of distinct integer points whose plane the starting
+    simplex spans: Andrew's monotone chain (Information Processing Letters 9, 1979), with strict turns so
+    points on an edge drop, over the first chart (x_i, x_j) where the simplex's edges have a nonzero minor."""
+    a, b, c = (pts[k] for k in simplex)
+    i, j = next((i, j) for i, j in combinations(range(len(a)), 2)
+                if (b[i] - a[i]) * (c[j] - a[j]) != (b[j] - a[j]) * (c[i] - a[i]))
+    xy = [(p[i], p[j]) for p in pts]
+    order = sorted(range(len(pts)), key=xy.__getitem__)
+
+    def chain(seq) -> list[int]:  # one half of the ring, without its last point
+        out: list[int] = []
+        for k in seq:
+            x, y = xy[k]
+            while len(out) > 1:
+                (ox, oy), (px, py) = xy[out[-2]], xy[out[-1]]
+                if (px - ox) * (y - oy) > (py - oy) * (x - ox):  # a left turn at out[-1]
+                    break
+                out.pop()
+            out.append(k)
+        return out[:-1]
+
+    return chain(order) + chain(reversed(order))
+
+
 def convex_hull(points) -> DualDescription:
     """Canonical dual description of the convex hull of finitely many points.
 
@@ -340,31 +378,20 @@ def convex_hull(points) -> DualDescription:
 
     One greedy pass (``_simplex``) scales the distinct points by the lcm L of
     their denominators to integers and gives the dimension, the equalities and
-    a starting simplex.  Beneath-beyond then inserts the other points farthest
-    first from that simplex's barycenter, so extreme points go in early and
-    the points they enclose are dropped after one visibility scan.  A point
-    joins the hull only when it lies strictly beyond some boundary simplex,
-    and is then coned to the horizon ridges (those whose other simplex it does
-    not see).  Only the starting simplex's facets are solved for, as the
-    columns of one inverse (``_beneath_beyond``); a new simplex rotates about its
-    horizon ridge (the gift-wrapping pivot of Chand & Kapur, JACM 1970).  For
-    the visible simplex (u_v, c_v) and the other one (u_i, c_i),
-    (u_v.p - c_v) u_i + (c_i - u_i.p) u_v is a positive combination of outward
-    normals in the direction space, tight on the ridge and at p, so over its
-    gcd it is the new outward primitive normal; p coplanar with the other
-    simplex gives u_i.  Because the
-    point is strictly off the hyperplane of the visible simplex, it is off the
-    affine span of every ridge of it, so coplanar points never make a
-    degenerate simplex.  Coplanar simplices are merged by (normal, offset),
-    the offsets divided by L.  The
-    boundary is a simplicial complex, so a corner lying on a facet is a corner
-    of one of its simplices, and each corner gets the bitmask of the facets it
-    lies on.  A corner is a vertex iff no other corner's mask contains its own:
-    a non-vertex lies in the relative interior of a face with another vertex,
-    which is a corner tight on every facet the first is tight on, and a vertex
-    is the intersection of its facets, so no other point is tight on all of
-    them.  Raises CellBudgetExceeded when there are more distinct candidate
-    points than the cell budget (LATCAYLEY_CELL_BUDGET).
+    a starting simplex.  A segment's ends are its first and last points, and
+    ``_ring`` reads a polygon's vertex cycle off sorted order.  For its edge
+    a -> b, c the vertex before a, t = b - a and v = c - a, u = (t.v) t - (t.t) v
+    is in the plane, orthogonal to t, and u.v < 0 (Cauchy-Schwarz): over its
+    gcd, the edge's outward primitive normal.  A segment's cycle is its two
+    ends, so v = t, and its normals are +-t.  From dimension 3,
+    ``_beneath_beyond`` gives a simplicial boundary, whose coplanar simplices
+    are merged by (normal, offset); each corner gets the bitmask of the facets
+    it lies on.  A corner is a vertex iff no other corner's mask contains its
+    own: a non-vertex lies in the relative interior of a face with another
+    vertex, which is a corner tight on every facet the first is tight on, and a
+    vertex is the intersection of its facets, so no other point is tight on all
+    of them.  Offsets are divided by L.  Raises CellBudgetExceeded when the
+    distinct candidate points outnumber the cell budget (LATCAYLEY_CELL_BUDGET).
     """
     pts = _validate_points(points)
     n = len(pts[0])
@@ -376,18 +403,30 @@ def convex_hull(points) -> DualDescription:
             f"raise {CELL_BUDGET_ENV} to allow more"
         )
     scale, ipts, simplex, eqs = _simplex(cand)
-    if len(simplex) == 1:
+    dim = len(simplex) - 1
+    if dim == 0:
         return DualDescription(n, 0, (cand[0],), (), eqs)
-    boundary = _beneath_beyond(ipts, simplex, [u for u, _ in eqs])
-    bits: dict[IntVec, int] = {}  # one bit per merged facet
-    masks: defaultdict[int, int] = defaultdict(int)  # corner -> its facets
-    for corners, (normal, _) in boundary.items():
-        bit = bits.setdefault(normal, 1 << len(bits))
-        for i in corners:
-            masks[i] |= bit
-    verts = [cand[i] for i, m in masks.items() if not any(j != i and k & m == m for j, k in masks.items())]
-    facets = {(normal, c if scale == 1 else norm_scalar(Fraction(c, scale))) for normal, c in boundary.values()}
-    return DualDescription(n, len(simplex) - 1, tuple(sorted(verts)), tuple(sorted(facets)), eqs)
+    if dim < 3:
+        verts, bounds = [0, len(cand) - 1] if dim == 1 else _ring(ipts, simplex), []
+        for c, a, b in zip(verts[-2:] + verts, verts[-1:] + verts, verts):
+            t, v = [y - x for x, y in zip(ipts[a], ipts[b])], [y - x for x, y in zip(ipts[a], ipts[c])]
+            tv, tt = dot(t, v), dot(t, t)
+            u = [tv * x - tt * y for x, y in zip(t, v)] if c != b else t
+            g = math.gcd(*u)
+            u = tuple(x // g for x in u)
+            bounds.append((u, dot(u, ipts[b])))
+    else:
+        boundary = _beneath_beyond(ipts, simplex, [u for u, _ in eqs])
+        bits: dict[IntVec, int] = {}  # one bit per merged facet
+        masks: defaultdict[int, int] = defaultdict(int)  # corner -> its facets
+        for corners, (normal, _) in boundary.items():
+            bit = bits.setdefault(normal, 1 << len(bits))
+            for i in corners:
+                masks[i] |= bit
+        verts = [i for i, m in masks.items() if not any(j != i and k & m == m for j, k in masks.items())]
+        bounds = boundary.values()
+    facets = {(normal, c if scale == 1 else norm_scalar(Fraction(c, scale))) for normal, c in bounds}
+    return DualDescription(n, dim, tuple(cand[i] for i in sorted(verts)), tuple(sorted(facets)), eqs)
 
 
 def contains(desc: DualDescription, x: Vec, mode: Mode = Mode.CLOSED) -> bool:

@@ -171,6 +171,8 @@ def _bare(cls, **fields):
 def _int_vec(v, what: str) -> IntVec:
     """v as a tuple of ints; rejects bool and non-integral entries instead of truncating."""
     v = tuple(v)
+    if all(type(x) is int for x in v):  # as in norm_scalar: a bool falls through
+        return v
     if not is_integer_vec(v):
         raise GeometryError(f"non-integer {what} {v!r}")
     return tuple(int(x) for x in v)
@@ -203,10 +205,14 @@ def translate(P: LatticePolytope, v) -> LatticePolytope:
     )
 
 
+@lru_cache(maxsize=8)
+def _units(n: int) -> frozenset[IntVec]:
+    return frozenset(tuple(int(j == k) for j in range(n)) for k in range(n))
+
+
 def _origin(n: int) -> LatticePolytope:
     """The origin of Z^n, cut out by the equalities x_k = 0 sorted by normal."""
-    units = sorted(tuple(int(j == k) for j in range(n)) for k in range(n))
-    return LatticePolytope._trusted(n, 0, ((0,) * n,), (), tuple((u, 0) for u in units))
+    return LatticePolytope._trusted(n, 0, ((0,) * n,), (), tuple((u, 0) for u in sorted(_units(n))))
 
 
 def dilate(P: LatticePolytope, factor: int) -> LatticePolytope:
@@ -473,11 +479,12 @@ def _admit(points: PointSet) -> PointSet:
     """Count a cache miss's points, first emptying every cache of _ENUMERATION_CACHES (held by object: a
     tracer may rebind their module names) if the count would pass the cell budget (LATCAYLEY_CELL_BUDGET)."""
     global _cached_points
-    if _cached_points + len(points) > cell_budget():
+    count = len(points)
+    if _cached_points + count > cell_budget():
         for cache in _ENUMERATION_CACHES:
             cache.cache_clear()
         _cached_points = 0
-    _cached_points += len(points)
+    _cached_points += count
     return points
 
 
@@ -518,8 +525,7 @@ def cayley_slice(C: LatticePolytope, heights, mode: Mode = Mode.CLOSED) -> Point
     the left side of slice checks."""
     a = _int_vec(heights, "heights")
     m = len(a)
-    units = {tuple(int(j == i) for j in range(m)) for i in range(m)}
-    if {v[:m] for v in C.vertices} != units:
+    if {v[:m] for v in C.vertices} != _units(m):
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")

@@ -319,6 +319,20 @@ _HULL_CASES = {
         (Fraction(1, 2), 0), (0, Fraction(1, 3)), (1, 1), (Fraction(3, 2), 0), (Fraction(-1, 2), Fraction(1, 3))
     ],
     "fraction-line-in-3d": _line((Fraction(1, 2), 0, 1), (Fraction(1, 3), 1, -2), [0, 1, -3, 5, -1]),
+    # the polygons below are read off a chart (x_i, x_j) of the plane; these two must skip (0, 1)
+    "2d-in-plane-x0-2": [(2, 0, 0), (2, 3, 1), (2, 1, 4), (2, -2, 2), (2, 1, 1), (2, 0, 2), (2, 3, 1)],
+    "2d-in-plane-x1-x0": [(0, 0, 0), (1, 1, 3), (-2, -2, 1), (3, 3, -1), (0, 0, 1), (1, 1, 0)],
+    # collinear points on the top and bottom edges and on the vertical edges first and last in chart order
+    "2d-collinear-on-edges": [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (4, 0), (4, 1), (4, 2), (2, 1), (1, 2), (1, 3), (2, 3)
+    ],
+    "2d-collinear-in-plane-x1-x0": [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 1, 0), (2, 2, 0), (3, 3, 0), (3, 3, 1), (3, 3, 2), (1, 1, 2)
+    ],
+    "fraction-2d-in-ambient-3": [
+        (Fraction(1, 2), 0, 1), (0, Fraction(1, 3), 1), (1, 1, 1), (Fraction(3, 2), 0, 1),
+        (Fraction(1, 2), Fraction(1, 3), 1), (Fraction(-1, 2), Fraction(2, 3), 1),
+    ],
 }
 
 
@@ -382,6 +396,26 @@ def test_hull_start_needs_no_kernel_call(pts, kernels, monkeypatch):
     monkeypatch.setattr(geometry, "nullspace", lambda *args: calls.append(args) or nullspace(*args))
     hull = convex_hull(pts)
     assert len(calls) == kernels
+    assert hull == _reference_hull(pts)
+
+
+@pytest.mark.parametrize(
+    "pts, calls",
+    [
+        ([(1, 2, 3), (1, 2, 3)], 0),
+        (_line((0, 1, 2), (1, -1, 2), [0, 2, 1, -1]), 0),
+        ([(0, 0), (3, 1), (1, 4), (2, 2), (0, 2)], 0),
+        ([(0, 0, 0, 0), (3, 3, 0, 6), (0, 1, 1, 1), (3, 4, 1, 7), (1, 2, 1, 3)], 0),
+        ([(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 4), (1, 1, 1)], 1),
+        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 3), (1, 1, 1, 1), (2, 0, 1, 0)], 1),
+    ],
+)
+def test_beneath_beyond_only_from_dimension_3(pts, calls, monkeypatch):
+    # segments and polygons are read off sorted order
+    seen = []
+    monkeypatch.setattr(geometry, "_beneath_beyond", lambda *args: seen.append(args) or _beneath_beyond(*args))
+    hull = convex_hull(pts)
+    assert len(seen) == calls
     assert hull == _reference_hull(pts)
 
 
