@@ -265,13 +265,18 @@ def sums():
             yield f"{i} {a} {minkowski_sum([dilate(P, x) for P, x in zip(factors, a)]).desc!r}"
 
 
+def digest(section) -> str:
+    """The SHA-256 of one section's records, each followed by a NUL byte."""
+    h = hashlib.sha256()
+    for record in section():
+        h.update(record.encode("utf-8") + b"\0")
+    return h.hexdigest()
+
+
 def run() -> None:
     os.chdir(ROOT)
     for section in (fixtures, random, reproduce, campaigns, covers, covers4d, hulls, enumeration, sums):
-        h = hashlib.sha256()
-        for record in section():
-            h.update(record.encode("utf-8") + b"\0")
-        print(f"{section.__name__:10s} {h.hexdigest()}")
+        print(f"{section.__name__:10s} {digest(section)}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 ``covers`` subtracts translates from the target recursively, in integers
 only.  The translates are classified once against the target into one table:
 shared rows of normals (the base's ``constraint_rows``, where an equality is
-two opposite rows), one row of integer offsets per translate, and per row a
+two opposite rows), per row one column of integer offsets over the translates,
+read off the translations' rows as arithmetic progressions, and per row a
 bitmask of the translates at or above each offset.  A piece's barycenter
 values on the rows are rounded (up in closed mode, down in the relative-
 interior one) and looked up, and a remaining translate containing it is
@@ -40,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product
+from itertools import accumulate, compress, product
 from math import gcd, lcm
 from operator import and_, mul, or_
 
@@ -89,56 +90,60 @@ def _constant_value(normal: IntVec, verts: tuple[IntVec, ...]) -> int | None:
     return vals.pop() if len(vals) == 1 else None
 
 
-def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[IntVec]]:
-    """The translates as one row table ``(normals, offsets)``.
+def _classify_translates(q: CoverageQuery) -> tuple[tuple[IntVec, ...], list[list[int]], int]:
+    """The translates as one column table ``(normals, table, live)``.
 
     ``normals`` holds the normals of the base's ``constraint_rows`` that vary
-    on the target, in that order; ``offsets`` holds, per live translate in
-    sorted-shift order, its right-hand sides over those rows.  A row constant
-    on the target settles itself for the whole target: the translate is
-    dropped, or the row holds everywhere there and is left out.  So a target
-    point ``x`` lies in translate ``i`` iff ``u.x <= off`` on every row, and
-    in its open region iff ``u.x < off`` (relative-interior mode refuses
-    varying equalities).  The offsets are integers, as the base is a lattice
-    polytope.
+    on the target, in that order; ``table`` holds one column per such row, its
+    right-hand side for each of the ``live`` translates in sorted-shift order.
+    A row constant on the target settles itself for the whole target: the
+    translate is dropped, or the row holds everywhere there and is left out.
+    So a target point ``x`` lies in translate ``i`` iff ``u.x <= col[i]`` on
+    every row, and in its open region iff ``u.x < col[i]`` (relative-interior
+    mode refuses varying equalities).  The offsets are integers, as the base
+    is a lattice polytope.  A column is read off the translations' rows: along
+    a row ``(p, lo..hi)``, ``c + u.t`` steps by ``u``'s last entry from
+    ``c + u_head.p + u_last*lo``, and the rows come in sorted-shift order.
     """
     rows = constraint_rows(q.translate_base.desc)
     tverts = q.target.desc.vertices
     relint = q.mode is Mode.RELATIVE_INTERIOR
-    consts = [_constant_value(u, tverts) for u, _, _ in rows]
-    normals = tuple(u for (u, _, _), val in zip(rows, consts) if val is None)
-
-    def row(t: IntVec) -> IntVec | None:
-        out: list[int] = []
-        for (u, c, is_facet), val in zip(rows, consts):
-            off = c + dot(u, t)
-            if val is None:
-                out.append(off)
-            elif val > off or (relint and is_facet and val == off):
-                # the row fails everywhere on the target (or, open mode, a
-                # facet row is never strict there)
-                return None
-        return tuple(out)
-
-    offsets = [r for r in map(row, sorted(q.translations)) if r is not None]
-    if any(type(off) is not int for r in offsets for off in r):
+    if any(type(c) is not int for _, c, _ in rows):  # every offset is c + u.t, and u.t is an integer
         raise AssertionError("a translate offset is not an integer")
-    if relint and offsets and any(not f for (_, _, f), val in zip(rows, consts) if val is None):
+
+    def column(u: IntVec, c: int) -> list[int]:
+        head, last, col = u[:-1], u[-1] if u else 0, []
+        for p, lo, hi in q.translations.rows:
+            s = c + dot(head, p) + last * lo
+            col += range(s, s + last * (hi - lo + 1), last) if last else [s] * (hi - lo + 1)
+        return col
+
+    varying, keep = [], [True] * len(q.translations)
+    for u, c, is_facet in rows:
+        val = _constant_value(u, tverts)
+        if val is None:
+            varying.append((u, c, is_facet))
+        else:  # keep a translate iff its row holds somewhere on the target (open mode: a facet row strictly)
+            keep = [k and off >= val + (relint and is_facet) for k, off in zip(keep, column(u, c))]
+    live = sum(keep)
+    if relint and live and not all(f for _, _, f in varying):
         raise GeometryError(
             "RelativeInterior covering needs every translate to span the "
             "target's affine hull or miss it entirely"
         )
-    return normals, offsets
+    return tuple(u for u, _, _ in varying), [list(compress(column(u, c), keep)) for u, c, _ in varying], live
 
 
-def _row_index(offsets: list[IntVec], nrows: int) -> list[tuple[list[int], list[int]]]:
-    """Per row, its distinct offsets ascending and, beside each, the bitmask
+def _row_index(table: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Per column, its distinct offsets ascending and, beside each, the bitmask
     of the translates whose offset is at least that value (then a final 0)."""
     index = []
-    for k in range(nrows):
-        col = sorted(((r[k], i) for i, r in enumerate(offsets)), reverse=True)
-        at_least = dict(zip((off for off, _ in col), accumulate((1 << i for _, i in col), or_)))
-        index.append(([*at_least][::-1], [*at_least.values()][::-1] + [0]))
+    for col in table:
+        bits: dict[int, int] = {}  # offset -> the translates at exactly that offset
+        for i, off in enumerate(col):
+            bits[off] = bits.get(off, 0) | 1 << i
+        levels = sorted(bits)
+        index.append((levels, [*accumulate(map(bits.__getitem__, reversed(levels)), or_)][::-1] + [0]))
     return index
 
 
@@ -277,15 +282,15 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
     too.
     """
     target = q.target.desc
-    normals, offsets = _classify_translates(q)
-    index = _row_index(offsets, len(normals))
+    normals, table, live = _classify_translates(q)
+    index = _row_index(table)
     slack = 1 if q.mode is Mode.CLOSED else 0  # off accepts u.b iff off >= (u.num - slack)//den + 1
     facet_bits = (1 << len(target.facets)) - 1
     budget = cell_budget()
     tverts = target.vertices
     start_verts = tuple((*(dot(u, v) for u in normals), *v, 1) for v in tverts)
     start = _Piece(start_verts, tuple(_tight_masks(tverts, target.facets)), q.target.dim)
-    stack: list[tuple[_Piece, int]] = [(start, (1 << len(offsets)) - 1)]
+    stack: list[tuple[_Piece, int]] = [(start, (1 << live) - 1)]
     processed = 0
     fuller, replay = True, None  # carve the fullest translate; the stack at the first pick that differed
     while stack:
@@ -337,7 +342,8 @@ def _decide_by_subtraction(q: CoverageQuery) -> Vec | None:
                 if replay is None:
                     replay = stack + [(piece, remaining)]
                 pick = held & -held
-        for branch in reversed(_subtract_branches(piece, offsets[pick.bit_length() - 1], q.mode)):
+        offs = tuple(col[pick.bit_length() - 1] for col in table)
+        for branch in reversed(_subtract_branches(piece, offs, q.mode)):
             stack.append((branch, remaining ^ pick))
     return None
 
@@ -392,15 +398,18 @@ def has_interior_translate_cover(P: LatticePolytope) -> PropertyReport:
     identity; it is asserted on one relative interior sample per translate, not
     searched for: the barycenter b + t, tested in integers as k(b + t) = S + kt,
     with k vertices summing to S: the integer vector S + kt must lie in
-    relint(2kP).
+    relint(2kP).  Along a row (p, lo..hi) of the lattice points each value
+    u.(S + kt) is linear, so it is read at the row's ends: an equality must
+    give c at both, and a facet's larger end value must be below c.
     """
     pts = lattice_points(P)
     two = dilate(P, 2)
     k = len(P.desc.vertices)
     S = tuple(map(sum, zip(*P.desc.vertices)))
-    scaled = dilate(two, k).desc
-    for t in pts:
-        if not contains(scaled, tuple(s + k * a for s, a in zip(S, t)), Mode.RELATIVE_INTERIOR):
-            raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
+    for u, c, is_facet in constraint_rows(dilate(two, k).desc):  # over integers u.x < c is u.x <= c - 1
+        head, last, us = u[:-1], k * u[-1], dot(u, S)
+        for p, lo, hi in pts.rows:
+            if us + k * dot(head, p) + max(last * lo, last * hi) > c - is_facet:
+                raise AssertionError("interior translate escaped relint(2P); this indicates a geometry bug")
     q = CoverageQuery(target=two, translate_base=P, translations=pts, mode=Mode.RELATIVE_INTERIOR)
     return replace(covers(q), property="cond01")

@@ -26,6 +26,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 Scalar = int | Fraction
@@ -57,7 +58,11 @@ class Mode(Enum):
 
 
 def cell_budget() -> int:
-    raw = os.environ.get(CELL_BUDGET_ENV)
+    return _parse_budget(os.environ.get(CELL_BUDGET_ENV))
+
+
+@lru_cache(maxsize=8)  # each raw value is parsed once; a refusal is not cached, so it raises on every call
+def _parse_budget(raw: str | None) -> int:
     if raw is None:
         return DEFAULT_CELL_BUDGET
     try:

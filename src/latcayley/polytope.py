@@ -500,7 +500,8 @@ def interior_lattice_points(P: LatticePolytope) -> PointSet:
     return _admit(PointSet._from_rows(P.ambient_dim, tuple(_integer_points(P.desc, Mode.RELATIVE_INTERIOR))))
 
 
-_ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows, _sum_template)
+_slice_dilate = lru_cache(maxsize=512)(dilate)  # one object per (C, total): slice lookups hit by identity
+_ENUMERATION_CACHES = (lattice_points, interior_lattice_points, _projection_rows, _sum_template, _slice_dilate)
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +530,7 @@ def cayley_slice(C: LatticePolytope, heights, mode: Mode = Mode.CLOSED) -> Point
         raise GeometryError("need one height per Cayley factor")
     if any(x < 0 for x in a):
         raise GeometryError("heights must be nonnegative")
-    pts = (lattice_points if mode is Mode.CLOSED else interior_lattice_points)(dilate(C, sum(a)))
+    pts = (lattice_points if mode is Mode.CLOSED else interior_lattice_points)(_slice_dilate(C, sum(a)))
     if m == C.ambient_dim:  # factors in Z^0: the slice is the point a or nothing
         return PointSet(m, (a,) if a in pts else ())
     # the rows whose prefix starts with a are one run of the sorted rows

@@ -257,10 +257,17 @@ def _reference_branches(piece, normals, offs, mode):
     return branches
 
 
+def translate_offsets(q: CoverageQuery):
+    """The row table of q as its normals and, per live translate in
+    sorted-shift order, the tuple of its offsets over them."""
+    normals, table, live = _classify_translates(q)
+    return normals, [tuple(col[i] for col in table) for i in range(live)]
+
+
 def reference_subtraction(q: CoverageQuery) -> Vec | None:
     """The first uncovered piece barycenter in depth-first order, or None."""
     target = q.target.desc
-    normals, offsets = _classify_translates(q)
+    normals, offsets = translate_offsets(q)
     accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     start = (target.vertices, tuple(_tight_masks(target.vertices, target.facets)))
     stack = [(start, tuple(range(len(offsets))))]
@@ -400,6 +407,32 @@ def test_interior_sample_check_survives_optimized_mode():
     )
     assert proc.returncode != 0
     assert "AssertionError: interior translate escaped relint(2P)" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "vertices, stand_in",
+    [
+        # [0, 2], barycenter 1: the row 0..3 puts the sample 1 + 3 on the facet
+        # x <= 4 of 2P (last coefficient +1) at hi, the row -1..2 puts 1 - 1 on
+        # the facet -x <= 0 (last coefficient -1) at lo; neither is interior
+        (((0,), (2,)), [(0,), (1,), (2,), (3,)]),
+        (((0,), (2,)), [(-1,), (0,), (1,), (2,)]),
+        # a segment on the line x_1 = 0: a row that leaves the line at hi, at lo,
+        # and one off the line x_0 = 0, whose normal has last coefficient 0
+        (((0, 0), (1, 0)), [(0, 0), (0, 1)]),
+        (((0, 0), (1, 0)), [(1, -1), (1, 0)]),
+        (((0, 0), (0, 1)), [(1, 0), (1, 1)]),
+    ],
+)
+def test_interior_sample_check_reads_both_row_ends(monkeypatch, vertices, stand_in):
+    # with the lattice points of P replaced by one stand-in row that leaves
+    # P at a single end, the sample of that end's translate escapes
+    # relint(2P), and the row-end check must see it
+    base = from_vertices(vertices)
+    has_interior_translate_cover(base)  # the real lattice points stay inside
+    monkeypatch.setattr(covering, "lattice_points", lambda _: PointSet(len(vertices[0]), stand_in))
+    with pytest.raises(AssertionError, match=r"interior translate escaped relint\(2P\)"):
+        has_interior_translate_cover(base)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +597,7 @@ def test_failing_query_resumes_in_canonical_order(picks, seed, mode):
     order and reports the reference kernel's witness."""
     q = _reference_query(seed, mode)
     assert covering._lattice_witness(q) is None
-    normals, offsets = _classify_translates(q)
+    normals, offsets = translate_offsets(q)
     accepts = operator.le if mode is Mode.CLOSED else operator.lt
     vals = [dot(u, barycenter(q.target.desc.vertices)) for u in normals]
     lowest = next(offs for offs in offsets if all(map(accepts, vals, offs)))
@@ -757,7 +790,7 @@ def _assert_table_matches_membership(q: CoverageQuery):
     """On rational points x of the target (lattice points and barycenters of
     vertex subsets), the offset rows accepting the row values of x are as
     many as the translates containing x by direct membership."""
-    normals, offsets = _classify_translates(q)
+    normals, offsets = translate_offsets(q)
     accepts = operator.le if q.mode is Mode.CLOSED else operator.lt
     verts = q.target.desc.vertices
     rng = random.Random(len(verts))
@@ -775,7 +808,7 @@ def test_table_matches_membership_on_thin_cases(unit_square):
     # a segment base is cut by its varying equality, so the table leads with
     # that equality's opposite pair of rows
     q = query(dilate(unit_square, 2), P((0, 0), (1, 0)), lattice_points(unit_square).points)
-    normals, _ = _classify_translates(q)
+    normals, _ = translate_offsets(q)
     assert normals[0] == tuple(-x for x in normals[1])
     _assert_table_matches_membership(q)
     # squares flush against a segment target from above and from below: the
@@ -788,9 +821,45 @@ def test_table_matches_membership_on_thin_cases(unit_square):
     # shift off that line is dropped, the other three keep a row each
     for mode, verdict in ((Mode.CLOSED, Verdict.HOLDS), (Mode.RELATIVE_INTERIOR, Verdict.FAILS)):
         q = query(P((0, 0), (3, 0)), P((0, 0), (1, 0)), [(0, 1), (0, 0), (1, 0), (2, 0)], mode)
-        assert len(_classify_translates(q)[1]) == 3
+        assert len(translate_offsets(q)[1]) == 3
         _assert_table_matches_membership(q)
         assert covers(q).verdict is verdict
+
+
+def test_table_matches_membership_along_translation_rows(unit_square):
+    # a column runs along each translation row (p, lo..hi) as a progression
+    # of step u's last entry; the triangle's rows have last entries 0, -1 and
+    # +1, and the shifts make gapped rows with single points in Z^2
+    triangle = P((0, 0), (2, 0), (0, 2))
+    normals, _ = translate_offsets(query(dilate(triangle, 2), triangle, [(0, 0)]))
+    assert sorted(u[-1] for u in normals) == [-1, 0, 1]
+    shifts = [(0, -1), (0, 0), (0, 1), (0, 3), (1, 2), (2, -2), (2, -1)]
+    for mode in Mode:
+        _assert_table_matches_membership(query(dilate(triangle, 2), triangle, shifts, mode))
+    # the rows x_1 >= 0 and x_1 <= 2 of [0, 2]^2 are constant on a segment on
+    # the x_0-axis and cut each row (a, -3..2) inside: closed mode keeps
+    # x_1 in -2..0, open mode only -1
+    shifts = [(a, b) for a in (-1, 1) for b in range(-3, 3)]
+    for mode, live in ((Mode.CLOSED, 6), (Mode.RELATIVE_INTERIOR, 2)):
+        q = query(P((0, 0), (4, 0)), dilate(unit_square, 2), shifts, mode)
+        assert len(translate_offsets(q)[1]) == live
+        _assert_table_matches_membership(q)
+    # Z^1: gapped rows against a segment, and a point target on which every
+    # row is constant, so the table has no column and only a live count
+    for mode, live in ((Mode.CLOSED, 3), (Mode.RELATIVE_INTERIOR, 1)):
+        gapped = [(-1,), (0,), (1,), (3,), (5,), (6,)]
+        _assert_table_matches_membership(query(P((0,), (6,)), P((0,), (2,)), gapped, mode))
+        q = query(P((3,)), P((0,), (2,)), [(x,) for x in range(6)], mode)
+        assert translate_offsets(q) == ((), [()] * live)
+        _assert_table_matches_membership(q)
+    # Z^4: 3P4 by translates of P4 over all, or a gapped subset, of the
+    # lattice points of 2P4, whose rows reach past single points
+    base = P(*P4)
+    pool = lattice_points(dilate(base, 2))
+    assert any(lo < hi for _, lo, hi in pool.rows)
+    for mode in Mode:
+        for shifts in (pool.points, pool.points[::3]):
+            _assert_table_matches_membership(query(dilate(base, 3), base, shifts, mode))
 
 
 @settings(max_examples=40, deadline=None)
