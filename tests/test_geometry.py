@@ -506,12 +506,12 @@ def test_cell_budget_env_override(monkeypatch):
     assert cell_budget() == DEFAULT_CELL_BUDGET
     monkeypatch.setenv(CELL_BUDGET_ENV, "123")
     assert cell_budget() == 123
-    monkeypatch.setenv(CELL_BUDGET_ENV, "zero")
-    with pytest.raises(GeometryError):
-        cell_budget()
-    monkeypatch.setenv(CELL_BUDGET_ENV, "-5")
-    with pytest.raises(GeometryError):
-        cell_budget()
+    for raw in ("zero", "-5", "zero"):  # a refusal is parsed again, not cached
+        monkeypatch.setenv(CELL_BUDGET_ENV, raw)
+        with pytest.raises(GeometryError):
+            cell_budget()
+    monkeypatch.setenv(CELL_BUDGET_ENV, "123")
+    assert cell_budget() == 123
 
 
 def test_convex_hull_refuses_more_candidates_than_the_cell_budget(monkeypatch):
