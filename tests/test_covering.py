@@ -258,7 +258,7 @@ def _reference_branches(piece, normals, offs, mode):
 
 
 def translate_offsets(q: CoverageQuery):
-    """The row table of q as its normals and, per live translate in
+    """The column table of q as its normals and, per live translate in
     sorted-shift order, the tuple of its offsets over them."""
     normals, table, live = _classify_translates(q)
     return normals, [tuple(col[i] for col in table) for i in range(live)]
