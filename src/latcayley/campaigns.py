@@ -55,6 +55,9 @@ class CampaignConfig:
     dilation_bound: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("trials", "seed", "dim_max", "coord_bound", "dilation_bound"):
+            if type(getattr(self, name)) is not int:  # a bool or a float is refused, not truncated
+                raise GeometryError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise GeometryError("trials must be at least 1")
         if not (1 <= self.dim_max <= 3):

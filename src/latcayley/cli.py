@@ -124,6 +124,8 @@ def _run_check(args) -> int:
 
 
 def _run_construct(args) -> int:
+    if args.operation != "dilate" and args.factor is not None:
+        raise UsageError(f"{args.operation} takes no --factor")
     Ps = [load_polytope(p) for p in args.paths]
     if args.operation == "dilate":
         if len(Ps) != 1:

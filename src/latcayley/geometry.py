@@ -151,28 +151,6 @@ def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
     return mat[: len(pivots)], pivots
 
 
-def nullspace(rows: list[Vec], ncols: int) -> list[IntVec]:
-    """Canonical primitive integer basis of {v : row . v = 0 for all rows}.
-
-    One vector per free column f: x_f = L, the lcm of the pivots, the other
-    free coordinates 0, and each pivot coordinate solved from its reduced
-    row; the vector is then made primitive and lexicographically positive.
-    """
-    red, pivots = _echelon(rows)
-    lcm = math.lcm(*(row[p] for row, p in zip(red, pivots)))
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        v = [0] * ncols
-        v[f] = lcm
-        for row, p in zip(red, pivots):
-            v[p] = -row[f] * (lcm // row[p])
-        g = math.gcd(*v) * _lex_sign(v)
-        basis.append(tuple(x // g for x in v))
-    return basis
-
-
 # ---------------------------------------------------------------------------
 # core types
 
@@ -239,39 +217,34 @@ def _validate_points(points) -> list[Vec]:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionMismatch("points have mixed ambient dimensions")
-    if not all(isinstance(x, (int, Fraction)) for p in pts for x in p):
-        raise GeometryError("coordinates must be ints or Fractions")
+    # the type test first, as in norm_scalar; bool is not a number here
+    if not all(type(x) is int or (isinstance(x, (int, Fraction)) and not isinstance(x, bool))
+               for p in pts for x in p):
+        raise GeometryError("coordinates must be ints or Fractions, not bools")
     return pts
 
 
 def _simplex(pts: list[Vec]) -> tuple[int, list[IntVec], list[int], tuple[Constraint, ...]]:
-    """One greedy pass over a point set for its affine hull and a starting simplex.
+    """A point set's affine hull and a starting simplex, read off one elimination.
 
-    The points are scaled by the lcm L of their denominators to integers, and
-    each edge vector p - pts[0] is reduced, fraction-free, against the rows
-    taken so far; a nonzero remainder is a new row.  Returns L, the scaled
-    points, the indices taken (pts[0] first; one more than the dimension) and
-    the equalities, whose normals are the reduced echelon rows of the
-    orthogonal complement of the rows, so they depend only on the subspace.
+    The points are scaled by the lcm L of their denominators to integers.  Row
+    j of [E | I] holds the j-th coordinate of each edge p - pts[0], then e_j;
+    ``_echelon`` reduces it.  An edge column is a pivot iff that edge is
+    independent of the earlier edges, so the edge pivots give the simplex.  A
+    row whose edge block reduced to zero is orthogonal to every edge, and
+    those rows are the reduced echelon basis of the orthogonal complement of
+    the edges, so the equalities depend only on the subspace.  Returns L, the
+    scaled points, the indices taken (pts[0] first; one more than the
+    dimension) and the equalities.
     """
     scale = math.lcm(*(x.denominator for p in pts for x in p))
     ipts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
-    base, n = ipts[0], len(ipts[0])
-    simplex = [0]
-    rows: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for i in range(1, len(ipts)):
-        if len(rows) == n:
-            break
-        e = [a - b for a, b in zip(ipts[i], base)]
-        for c, row in rows:
-            if e[c]:
-                e = [row[c] * x - e[c] * y for x, y in zip(e, row)]
-        if any(e):
-            g = math.gcd(*e)
-            rows.append((next(c for c, x in enumerate(e) if x), [x // g for x in e]))
-            simplex.append(i)
-    red = _echelon(nullspace([row for _, row in rows], n))[0] if len(rows) < n else []  # rows span R^n: no equality
-    eqs = sorted((tuple(row), norm_scalar(dot(row, pts[0]))) for row in red)
+    base, k = ipts[0], len(ipts) - 1
+    n = len(base)
+    red, pivots = _echelon([[p[j] - x for p in ipts[1:]] + [int(i == j) for i in range(n)]
+                            for j, x in enumerate(base)])
+    simplex = [0] + [c + 1 for c in pivots if c < k]
+    eqs = sorted((tuple(row[k:]), norm_scalar(dot(row[k:], pts[0]))) for row, c in zip(red, pivots) if c >= k)
     return scale, ipts, simplex, tuple(eqs)
 
 

@@ -120,9 +120,10 @@ def reproduce_example(name: str, params: tuple[int, int] | None = None) -> Campa
         raise GeometryError(
             f"unknown example {name!r}; valid names: {', '.join(EXAMPLE_NAMES)}"
         )
-    a, b = params if params is not None else (1, 1)
-    if a < 1 or b < 1:
-        raise GeometryError("example parameters must be positive integers")
+    params = params if params is not None else (1, 1)
+    if len(params) != 2 or not all(type(x) is int and x >= 1 for x in params):
+        raise GeometryError(f"example parameters must be two positive integers, got {params!r}")
+    a, b = params
     if name == "example_2_4":
         return _example_2_4(a, b)
     return _example_1_9(a, b)

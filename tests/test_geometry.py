@@ -22,13 +22,13 @@ from latcayley.geometry import (
     CellBudgetExceeded,
     Mode,
     _beneath_beyond,
+    _echelon,
     _simplex,
     affine_hull,
     cell_budget,
     dot,
     is_integer_vec,
     norm_scalar,
-    nullspace,
     vec_sub,
 )
 
@@ -346,7 +346,7 @@ def _kernel_facet(pts, corners, eq_normals, inner, dim):
     """A boundary simplex's normal and offset as the one kernel vector of its
     edges and the equality normals, oriented away from the inner point."""
     p0 = pts[corners[0]]
-    (u,) = nullspace([vec_sub(pts[i], p0) for i in corners[1:]] + eq_normals, len(p0))
+    (u,) = _reference_nullspace([vec_sub(pts[i], p0) for i in corners[1:]] + eq_normals, len(p0))
     c = dot(u, p0)
     return (tuple(-x for x in u), -c) if dot(u, inner) > (dim + 1) * c else (u, c)
 
@@ -379,23 +379,24 @@ def test_boundary_simplex_normals_are_kernel_vectors(pts, rnd):
 
 
 @pytest.mark.parametrize(
-    "pts, kernels",
+    "pts, eliminations",
     [
-        ([(0, 0), (3, 1), (1, 4), (2, 2)], 0),
-        ([(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 4), (1, 1, 1)], 0),
-        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 3), (1, 1, 1, 1), (2, 0, 1, 0)], 0),
+        ([(0, 0), (3, 1), (1, 4), (2, 2)], 1),
+        ([(0, 0, 0), (2, 0, 1), (0, 3, 0), (1, 1, 4), (1, 1, 1)], 2),
+        ([(0, 0, 0, 0), (1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 1, 3), (1, 1, 1, 1), (2, 0, 1, 0)], 2),
         ([(0, 0, 0), (2, 4, 6), (1, 2, 3)], 1),
         ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 0)], 1),
-        ([(1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 3)], 1),
+        ([(1, 0, 0, 0), (1, 0, 2, 1), (0, 1, 0, 0), (0, 1, 1, 1), (0, 1, 0, 3)], 2),
+        ([(1, 2, 3), (1, 2, 3)], 1),
     ],
 )
-def test_hull_start_needs_no_kernel_call(pts, kernels, monkeypatch):
-    # the starting facets are the columns of one inverse: only the equalities
-    # of a lower-dimensional hull take a kernel
+def test_hull_start_takes_one_elimination(pts, eliminations, monkeypatch):
+    # the dimension, the equalities and the starting simplex come from one
+    # elimination; from dimension 3 the starting facets take one inverse more
     calls = []
-    monkeypatch.setattr(geometry, "nullspace", lambda *args: calls.append(args) or nullspace(*args))
+    monkeypatch.setattr(geometry, "_echelon", lambda rows: calls.append(rows) or _echelon(rows))
     hull = convex_hull(pts)
-    assert len(calls) == kernels
+    assert len(calls) == eliminations
     assert hull == _reference_hull(pts)
 
 
@@ -451,10 +452,12 @@ def test_rank_matches_rref_pivot_count(rows):
     st.booleans(),
 )
 def test_nullspace_matches_rref_reference(shape, dependent):
+    # the equalities of the hull of the origin and the rows are the rows' nullspace
     ncols, rows = shape
     if dependent and len(rows) >= 2:
         rows = rows + [[x - 2 * y for x, y in zip(rows[0], rows[1])]]
-    assert nullspace(rows, ncols) == _reference_nullspace(rows, ncols)
+    pts = [(0,) * ncols] + [tuple(map(norm_scalar, row)) for row in rows]
+    assert affine_hull(pts) == _reference_affine_hull(pts)
 
 
 @st.composite
@@ -486,6 +489,13 @@ def test_is_integer_vec_rejects_bool():
     assert is_integer_vec((0, Fraction(4, 2), -3))
     assert not is_integer_vec((True, 0))
     assert not is_integer_vec((0, Fraction(1, 2)))
+
+
+def test_hulls_reject_bool_coordinates():
+    for hull in (convex_hull, affine_hull):
+        for pts in ([(True, 0), (0, 1)], [(True,), (False,)], [(0, 1), (Fraction(1, 2), False)]):
+            with pytest.raises(GeometryError, match="bool"):
+                hull(pts)
 
 
 def test_contains_closed_and_relative_interior():

@@ -153,6 +153,10 @@ def test_campaign_config_validation():
         CampaignConfig("thm_0_1", trials=1, seed=0, dim_max=4)
     with pytest.raises(GeometryError):
         CampaignConfig("thm_0_1", trials=1, seed=0, coord_bound=0)
+    # a non-integer or bool field is refused here, not deep in a runner
+    for field, value in [("trials", 2.5), ("trials", True), ("coord_bound", 1.5), ("seed", "0"), ("dilation_bound", False)]:
+        with pytest.raises(GeometryError, match=field):
+            CampaignConfig("thm_0_1", **{"trials": 1, "seed": 0, field: value})
 
 
 def test_campaigns_are_deterministic():
@@ -377,8 +381,9 @@ def test_reproduce_names_and_validation():
     assert set(EXAMPLE_NAMES) == {"example_1_9", "example_2_4"}
     with pytest.raises(GeometryError, match="example_1_9"):
         reproduce_example("example_9_1")
-    with pytest.raises(GeometryError):
-        reproduce_example("example_2_4", (0, 1))
+    for params in [(0, 1), (1,), (1, 1, 1), (1.5, 1), (True, 1)]:
+        with pytest.raises(GeometryError):
+            reproduce_example("example_2_4", params)
 
 
 def test_reproduce_pair_idp_split_default():
@@ -429,6 +434,8 @@ def test_cli_errors_exit_2(tmp_path, capsys):
         (["check", "--property", "idp", square, segment], "takes exactly one polytope file"),
         (["construct", "dilate", square, "--out", out], "dilate needs --factor"),
         (["construct", "minkowski", square, "--out", out], "minkowski needs at least two"),
+        (["construct", "minkowski", square, segment, "--factor", "3", "--out", out], "minkowski takes no --factor"),
+        (["construct", "cayley", square, segment, "--factor", "3", "--out", out], "cayley takes no --factor"),
     ]:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
