@@ -5,9 +5,9 @@ floating point, so every predicate is a decision, not an estimate.  All public
 objects are immutable and all functions are pure, so they are safe to call
 concurrently.
 
-Kernels go through one fraction-free Gauss-Jordan elimination over the
-integers, ``_echelon``; affine hulls go through one greedy independence pass,
-``_simplex``.  ``convex_hull`` is the one hull routine, in exact integers:
+Every elimination is one fraction-free Gauss-Jordan elimination over the
+integers, ``_echelon``: ``_simplex`` reads an affine hull and a starting
+simplex off one.  ``convex_hull`` is the one hull routine, in exact integers:
 segments and polygons are read off sorted order, and beneath-beyond insertion
 takes dimension 3 and up, as described there.
 
@@ -113,20 +113,16 @@ def _lex_sign(v: IntVec) -> int:
 # exact Gaussian elimination
 
 
-def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of a rational matrix.
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
 
-    Each row is cleared of denominators, then every pivot is eliminated from
-    all other rows over the integers, and each new row is divided by its gcd
-    (a fraction-free scheme in the spirit of Bareiss, 1968).  Returns the
-    nonzero reduced rows, each primitive with a positive pivot, and their
-    pivot columns.  Each row is the RREF row scaled by a positive integer, so
-    the result is canonical for the row space.
+    Every pivot is eliminated from all other rows over the integers, and each
+    new row is divided by its gcd (a fraction-free scheme in the spirit of
+    Bareiss, 1968).  Returns the nonzero reduced rows, each primitive with a
+    positive pivot, and their pivot columns.  Each row is the RREF row scaled
+    by a positive integer, so the result is canonical for the row space.
     """
-    mat = []
-    for row in rows:
-        d = math.lcm(*(x.denominator for x in row))
-        mat.append([x.numerator * (d // x.denominator) for x in row])
+    mat = list(rows)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
     for c in range(ncols):
@@ -136,7 +132,8 @@ def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
             continue
         top = mat[p]
         g = math.gcd(*top) if top[c] > 0 else -math.gcd(*top)
-        top = [x // g for x in top]
+        if g != 1:
+            top = [x // g for x in top]
         mat[p] = mat[r]
         mat[r] = top
         for i, row in enumerate(mat):
@@ -144,7 +141,7 @@ def _echelon(rows: list[Vec]) -> tuple[list[list[int]], list[int]]:
             if b and i != r:
                 new = [top[c] * x - b * y for x, y in zip(row, top)]
                 g = math.gcd(*new)
-                mat[i] = [x // g for x in new] if g else new
+                mat[i] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         if len(pivots) == len(mat):
             break
@@ -354,7 +351,7 @@ def convex_hull(points) -> DualDescription:
     (orthogonal to every equality normal), which makes them unique up to the
     primitive-outward normalization.
 
-    One greedy pass (``_simplex``) scales the distinct points by the lcm L of
+    One elimination (``_simplex``) scales the distinct points by the lcm L of
     their denominators to integers and gives the dimension, the equalities and
     a starting simplex.  A segment's ends are its first and last points, and
     ``_ring`` reads a polygon's vertex cycle off sorted order.  For its edge

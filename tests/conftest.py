@@ -30,8 +30,13 @@ def all_fixture_names() -> list[str]:
 
 
 def rank(rows) -> int:
-    """Rank of a rational matrix, from the library's fraction-free elimination."""
-    return len(_echelon(rows)[1])
+    """Rank of a rational matrix, from the library's fraction-free elimination
+    of its rows cleared of denominators."""
+    ints = []
+    for row in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in row))
+        ints.append([int(x * d) for x in row])
+    return len(_echelon(ints)[1])
 
 
 def primitive(v):
