@@ -390,7 +390,7 @@ def test_boundary_simplex_normals_are_kernel_vectors(pts, rnd):
         ([(1, 2, 3), (1, 2, 3)], 1),
     ],
 )
-def test_hull_start_takes_one_elimination(pts, eliminations, monkeypatch):
+def test_hull_start_needs_no_kernel_call(pts, eliminations, monkeypatch):
     # the dimension, the equalities and the starting simplex come from one
     # elimination; from dimension 3 the starting facets take one inverse more
     calls = []
